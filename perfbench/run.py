@@ -2,10 +2,11 @@
 
     python3 perfbench/run.py --workload train-dfn --seed 0 --seconds 60 --trace 0
 
-Runs whole rounds of one workload until ``--seconds`` have passed (at least
-one round), checks every round's outputs apart from the program, and prints
-one JSON object as the last line of standard output. ``--trace 0`` reports
-the end-to-end metrics, each the mean over rounds; ``--trace 1`` runs each
+Runs whole passes over a workload's fixed list of seed-derived inputs, one
+round per input, while a further pass fits in ``--seconds`` (at least one
+pass), checks every round's outputs apart from the program, and prints one
+JSON object as the last line of standard output. ``--trace 0`` reports the
+end-to-end metrics, each the mean over rounds; ``--trace 1`` runs each
 input untraced and then traced, and reports the per-layer metrics.
 """
 
@@ -16,7 +17,6 @@ T_START = time.perf_counter()
 import argparse  # noqa: E402
 import ctypes  # noqa: E402
 import glob  # noqa: E402
-import itertools  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import platform  # noqa: E402
@@ -24,6 +24,7 @@ import resource  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,15 +87,17 @@ def main(argv=None) -> int:
 
     def one_round(tracer=None) -> dict:
         out_dir = work / f"round{counts['attempted']}"
-        if tracer:
-            tracer.install()
-        try:
-            rnd = harness.run_round(out_dir, tracer)
-        finally:
-            if tracer:
-                tracer.restore()
+        rnd = harness.run_round(out_dir, tracer)
         counts["attempted"] += rnd["cells"]
-        counts["failed"] += len(harness.check(out_dir))
+        try:
+            if rnd["error"]:
+                raise RuntimeError(rnd["error"])
+            rnd["wer"] = workloads.row_averages(out_dir)
+            counts["failed"] += len(harness.check(out_dir))
+        except Exception:
+            # a program fault fails every cell of its round
+            traceback.print_exc()
+            counts["failed"] += rnd["cells"]
         shutil.rmtree(out_dir)
         if tracer:
             rnd["layers"] = tracer.layer_metrics()
@@ -102,19 +105,23 @@ def main(argv=None) -> int:
                 tracer.covered(rnd["start"], rnd["end"])
         return rnd
 
-    # input k is measured untraced, then (with --trace 1) traced; no input
-    # is started that would end past the deadline, but one always runs
+    # a pass works through the workload's fixed list of inputs, each
+    # untraced and then (with --trace 1) traced; passes repeat while a
+    # whole further pass fits in --seconds, and one always runs, so every
+    # run covers the same inputs equally however fast the code is
+    inputs = workloads.WORKLOADS[args.workload]["inputs"]
     deadline = time.perf_counter() + args.seconds
     plain, traced, spans = [], [], []
     try:
-        for index in itertools.count():
+        while True:
             began = time.perf_counter()
-            harness.prepare(index)
-            plain.append(one_round())
-            if args.trace:
-                tracer = Tracer()
-                traced.append(one_round(tracer))
-                spans.append(tracer.export())
+            for index in range(inputs):
+                harness.prepare(index)
+                plain.append(one_round())
+                if args.trace:
+                    tracer = Tracer()
+                    traced.append(one_round(tracer))
+                    spans.append(tracer.export())
             now = time.perf_counter()
             if now + (now - began) > deadline:
                 break
@@ -122,8 +129,8 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
     attempted, failed = counts["attempted"], counts["failed"]
 
-    # a run's figure is the mean over its rounds: each round works on its
-    # own input, and the mean of several is steadier than any one of them
+    # a run's figure is the mean over its rounds; with three to seven
+    # rounds a run, it spread less across seeds than their median
     mean = statistics.fmean
     if args.trace == 0:
         metrics = {

@@ -2,9 +2,10 @@
 
     python3 -m pytest perfbench/test_checks.py -q     (or python3 perfbench/test_checks.py)
 
-Each test runs one small round of a workload, confirms the checks pass on
-its real outputs, then corrupts a copy (one hypothesis word changed, one
-fused row shifted) and confirms the checks report failed cells.
+Each checker test runs one small round of a workload, confirms the checks
+pass on its real outputs, then corrupts a copy (one hypothesis word changed,
+one fused row shifted) and confirms the checks report failed cells. A last
+test confirms that a round whose program raises reports the fault.
 """
 
 import json
@@ -107,7 +108,28 @@ def test_staged_checker_condemns_corruption():
         assert failed and failed < harness.expected
 
 
+def test_program_fault_is_reported():
+    """A round whose program raises returns the traceback (run.py then
+    fails all its cells) and leaves no patch behind."""
+    real = workloads.experiment.run_sweep
+
+    def broken(cfg):
+        raise ValueError("injected fault")
+
+    workloads.experiment.run_sweep = broken
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            harness = workloads.Harness("train-dfn", seed=7)
+            rnd = harness.run_round(Path(tmp) / "round")
+    finally:
+        workloads.experiment.run_sweep = real
+    assert "injected fault" in rnd["error"]
+    assert workloads.experiment.build_world.__module__ == "avfusion.corpus"
+    assert workloads.experiment.dfn_fuse.__module__ == "avfusion.fusion"
+
+
 if __name__ == "__main__":
     test_sweep_checker_condemns_corruption()
     test_staged_checker_condemns_corruption()
+    test_program_fault_is_reported()
     print("checker tests passed")

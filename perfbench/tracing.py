@@ -3,13 +3,15 @@
 A traced round patches each wrapped name in the module that calls it
 (``experiment`` and ``cli`` import names into their own namespaces), records
 one span per call (name, start, end, parent span, thread), and restores the
-originals when the round ends. Spans stay in memory until the run writes
+originals when the round ends (``patched``, which the harness's own hooks
+use too). Spans stay in memory until the run writes
 them out. A layer metric ``<module>.<what>_s`` is the summed self time of
 its spans: span time minus the part of it that child spans cover.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from collections import defaultdict
@@ -47,6 +49,23 @@ COUNT_METRICS = {
     "core.matrix_read_bytes": "bytes",
 }
 TRACE_METRICS = ("trace.overhead_s", "trace.unattributed_s")
+
+
+@contextlib.contextmanager
+def patched(table):
+    """Replace each ``owner.attribute`` by ``wrap(original)`` for the
+    duration, in table order (a later row wraps an earlier one), and put
+    the originals back afterwards."""
+    saved = []
+    try:
+        for owner, attr, wrap in table:
+            original = owner.__dict__[attr]
+            setattr(owner, attr, wrap(original))
+            saved.append((owner, attr, original))
+        yield
+    finally:
+        for owner, attr, original in reversed(saved):
+            setattr(owner, attr, original)
 
 
 def _rows(mat) -> int:
@@ -122,7 +141,7 @@ def _targets():
 
 
 class Tracer:
-    """Span recorder; ``install`` patches the targets, ``restore`` undoes it.
+    """Span recorder; ``patches`` gives the table of wrapped targets.
 
     A span opened on a worker thread with no open span of its own takes the
     main thread's innermost open span as its parent, so a stage's self time
@@ -134,7 +153,6 @@ class Tracer:
         self.counts: dict[str, float] = defaultdict(float)
         self._local = threading.local()
         self._main_stack: list[list] = []
-        self._patches: list[tuple] = []
 
     def _stack(self) -> list:
         if threading.current_thread() is threading.main_thread():
@@ -178,16 +196,12 @@ class Tracer:
         traced.__wrapped__ = fn
         return traced
 
-    def install(self) -> None:
-        for owner, attr, name, counters in _targets():
-            original = owner.__dict__[attr]
-            setattr(owner, attr, self._wrap(original, name, counters))
-            self._patches.append((owner, attr, original))
-
-    def restore(self) -> None:
-        while self._patches:
-            owner, attr, original = self._patches.pop()
-            setattr(owner, attr, original)
+    def patches(self) -> list:
+        """(owner, attribute, wrap) rows for ``patched``."""
+        return [(owner, attr,
+                 lambda fn, name=name, counters=counters:
+                     self._wrap(fn, name, counters))
+                for owner, attr, name, counters in _targets()]
 
     def self_times(self) -> dict[str, float]:
         """Summed self time per span name."""

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import time
+import traceback
 from pathlib import Path
 
 from avfusion import cli, experiment
@@ -21,6 +22,7 @@ from avfusion.corpus import WorldConfig, build_world
 from avfusion.decode import build_decoding_graph
 
 import checks
+from tracing import patched
 
 # configs/trend.json's world and dfn sections, copied so that an edit to
 # that config does not silently change the benchmark
@@ -43,27 +45,26 @@ SEED_STRIDE = 10_000  # world seeds of workload seed n start at n * SEED_STRIDE
 # of their medians across seeds (see README.md). dsw-mse is left out: its
 # training items solve the oracle one utterance at a time, and the few that
 # run the solver to its iteration cap made train_s spread by 0.24 to 0.49.
+# `inputs` is how many distinct inputs a run works through: a run covers
+# the same inputs however fast the code is (see run.py).
 WORKLOADS = {
     # nn recurrence and optimizer: two DFNs for a fixed step count, a
     # small test set on a short grid
     "train-dfn": dict(
-        worlds=1, train=100, val=8, test=32, grid=[-6, 6],
+        inputs=3, worlds=1, train=100, val=8, test=32, grid=[-6, 6],
         strategies=["ao", "dfn-lstm", "dfn-blstm"], steps=200),
     # the staged CLI chain in one process: one utterance at a time
     # (unbatched oracle and Viterbi), AVPF, WAV and raw-video files, the
     # thread pool, joint posteriors and DSW training
     "staged": dict(
-        worlds=1, train=30, val=6, test=3, grid=[0],
+        inputs=7, worlds=1, train=30, val=6, test=3, grid=[0],
         strategies=["ao", "early", "static", "oracle", "dsw-ce",
                     "dfn-blstm"], steps=100),
 }
 
 
 def make_config(name: str, seed: int, index: int) -> dict:
-    """The raw config document of input ``index`` of a workload seed.
-
-    Each round of a run works on its own input, so a run's mean is not
-    set by one input's share of slow oracle frames."""
+    """The raw config document of input ``index`` of a workload seed."""
     w = WORKLOADS[name]
     first = seed * SEED_STRIDE + index * w["worlds"]
     return {
@@ -109,13 +110,14 @@ def row_averages(out_dir: Path) -> dict:
 
 
 class Harness:
-    """Set-up state of one workload plus the patches that time training
+    """Set-up state of one workload, and the patches that time training
     and capture in-memory outputs for the checks.
 
     ``prepare`` builds an input's config and its first seed's world and
     decoding graph outside the timed round (for input 0 this is the
     benchmark's set-up); the sweep workloads hand that world to
-    ``run_sweep`` through its module's ``build_world`` name.
+    ``run_sweep`` through its module's ``build_world`` name. The patches
+    are in place only while a round runs.
     """
 
     def __init__(self, name: str, seed: int):
@@ -125,7 +127,6 @@ class Harness:
         self.train_s = 0.0
         self.captures = checks.Captures()
         self.prepare(0)
-        self._install()
 
     def prepare(self, index: int) -> None:
         if index == self.index:
@@ -138,73 +139,94 @@ class Harness:
         self.world = build_world(self.world_config, self.first_seed)
         self.graph = build_decoding_graph(self.world, self.cfg["lm_scale"])
 
-    def _install(self) -> None:
+    def _patches(self) -> list:
+        """(owner, attribute, wrap) rows for ``tracing.patched``."""
         harness = self
-        real_build_world = experiment.build_world
-        real_graph = experiment.build_decoding_graph
-        real_train = experiment.train_strategy_models
-        real_oracle = experiment.oracle_weights
-        real_oracle_batch = experiment.oracle_weights_batch
-        real_dfn_fuse = experiment.dfn_fuse
 
-        def world_for(config, seed=0):
-            if seed == harness.first_seed and config == harness.world_config:
-                return harness.world
-            return real_build_world(config, seed)
+        def world_for(real):
+            def build(config, seed=0):
+                if seed == harness.first_seed and \
+                        config == harness.world_config:
+                    return harness.world
+                return real(config, seed)
+            return build
 
-        def graph_for(world, lm_scale=1.0):
-            if world is harness.world and lm_scale == harness.cfg["lm_scale"]:
-                return harness.graph
-            return real_graph(world, lm_scale)
+        def graph_for(real):
+            def build(world, lm_scale=1.0):
+                if world is harness.world and \
+                        lm_scale == harness.cfg["lm_scale"]:
+                    return harness.graph
+                return real(world, lm_scale)
+            return build
 
-        def timed_train(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return real_train(*args, **kwargs)
-            finally:
-                harness.train_s += time.perf_counter() - start
+        def timed(real):
+            def train(*args, **kwargs):
+                start = time.perf_counter()
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    harness.train_s += time.perf_counter() - start
+            return train
 
-        def oracle(log_posts, alignment, mode="renormalized"):
-            out = real_oracle(log_posts, alignment, mode)
-            harness.captures.add_oracle(log_posts, alignment, out.weights)
-            return out
+        def capture_oracle(real):
+            def oracle(log_posts, alignment, mode="renormalized"):
+                out = real(log_posts, alignment, mode)
+                harness.captures.add_oracle(log_posts, alignment, out.weights)
+                return out
+            return oracle
 
-        def oracle_batch(log_posts_list, alignments, mode="renormalized"):
-            out = real_oracle_batch(log_posts_list, alignments, mode)
-            for logs, align, w in zip(log_posts_list, alignments, out):
-                harness.captures.add_oracle(logs, align, w.weights)
-            return out
+        def capture_oracle_batch(real):
+            def oracle_batch(log_posts_list, alignments, mode="renormalized"):
+                out = real(log_posts_list, alignments, mode)
+                for logs, align, w in zip(log_posts_list, alignments, out):
+                    harness.captures.add_oracle(logs, align, w.weights)
+                return out
+            return oracle_batch
 
-        def dfn_fuse(posteriors, reliability, model):
-            out = real_dfn_fuse(posteriors, reliability, model)
-            harness.captures.add_dfn(model, out)
-            return out
+        def capture_dfn(real):
+            def fuse(posteriors, reliability, model):
+                out = real(posteriors, reliability, model)
+                harness.captures.add_dfn(model, out)
+                return out
+            return fuse
 
-        experiment.build_world = world_for
-        experiment.build_decoding_graph = graph_for
-        experiment.train_strategy_models = timed_train
-        experiment.oracle_weights = oracle
-        experiment.oracle_weights_batch = oracle_batch
-        experiment.dfn_fuse = dfn_fuse
+        return [
+            (experiment, "build_world", world_for),
+            (experiment, "build_decoding_graph", graph_for),
+            (experiment, "train_strategy_models", timed),
+            (experiment, "oracle_weights", capture_oracle),
+            (experiment, "oracle_weights_batch", capture_oracle_batch),
+            (experiment, "dfn_fuse", capture_dfn),
+        ]
 
     def run_round(self, out_dir: Path, tracer=None) -> dict:
         """One round of the workload into a fresh ``out_dir``; returns its
-        timings. The checks run afterwards, outside the timed region."""
+        timings, and the traceback if the program raised. The checks run
+        afterwards, outside the timed region. The tracer's patches go on
+        top of the harness's, so a traced call includes its capture."""
         self.train_s = 0.0
         self.captures = checks.Captures()
         out_dir.mkdir(parents=True)
+        table = self._patches() + (tracer.patches() if tracer else [])
+        error = None
         start = time.perf_counter()
-        if self.name == "staged":
-            train_s = self._staged(out_dir, tracer)
-        else:
-            result = experiment.run_sweep(self.cfg)
-            experiment.write_sweep_csv(out_dir / "sweep.csv", result)
-            experiment.write_sweep_json(out_dir / "sweep.json", result)
+        try:
+            with patched(table):
+                if self.name == "staged":
+                    train_s = self._staged(out_dir, tracer)
+                else:
+                    result = experiment.run_sweep(self.cfg)
+                    experiment.write_sweep_csv(out_dir / "sweep.csv", result)
+                    experiment.write_sweep_json(out_dir / "sweep.json",
+                                                result)
+                    train_s = self.train_s
+        except Exception:
+            error = traceback.format_exc()
             train_s = self.train_s
         end = time.perf_counter()
         return {"start": start, "end": end, "run_s": end - start,
                 "train_s": train_s, "cells": len(self.expected),
-                "wer": row_averages(out_dir)}
+                "error": error}
 
     def _staged(self, out_dir: Path, tracer) -> float:
         cfg_path = out_dir / "config.json"
