@@ -15,7 +15,11 @@ Every artifact is a deterministic function of the config plus seed, so any
 stage can be re-run in place and produces identical bytes.  The output
 directory comes from --out, else the AVFUSION_OUT environment variable,
 else the config's out_dir; thread count from --threads, else
-AVFUSION_THREADS, else 1.
+AVFUSION_THREADS, else 1. The thread count governs only the per-utterance
+work of `extract` and `fuse`: `train` and `sweep` train a seed's learned
+models in forked processes, one per model up to the usable CPUs, and every
+stage runs with BLAS pinned to one thread, so neither count changes the
+output bytes.
 
 Exit codes: 0 success, 1 runtime failure (including missing prerequisite
 artifacts), 2 configuration error.
@@ -32,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .config import DEFAULT_CONFIG, ConfigError, load_config, validate_config
 from .core import (
     AlignmentTarget,
@@ -575,7 +580,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        with single_blas_thread():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,11 +10,16 @@ cell and averaged across seeds for the table.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .align import align_stream, bresenham_map
+from .blas import single_blas_thread
 from .core import STREAMS, PosteriorSequence
 from .corpus import (
     Utterance,
@@ -209,6 +214,86 @@ def build_training_items(world: World, graph: DecodingGraph,
     return items
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class TrainingError(RuntimeError):
+    """Training a learned strategy failed; the message names it and the
+    seed."""
+
+
+# (cfg, seed, num_states, rel_dim, train_items, val_items) inside a forked
+# training worker, set by the pool initializer: workers inherit the items
+# through fork instead of receiving a pickled copy per task
+_WORKER_JOB = None
+
+
+def _set_worker_job(job: tuple) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = job
+
+
+def _train_in_worker(strat: str) -> tuple:
+    return _train_one(_WORKER_JOB, strat)
+
+
+def _train_one(job: tuple, strat: str) -> tuple:
+    """(model, best validation CE) of one learned strategy."""
+    cfg, seed, s_count, rel_dim, train_items, val_items = job
+    tc = _train_config(cfg, seed)
+    try:
+        if strat.startswith("dfn-"):
+            variant = strat.split("-", 1)[1]
+            d = cfg["dfn"]
+            model, history = train_dfn(
+                train_items, val_items, variant, s_count, rel_dim, tc,
+                widths=tuple(d["widths"]), hidden=d["hidden"],
+                scale=d["scale"], dropout=d["dropout"])
+        else:
+            criterion = strat.split("-", 1)[1]
+            model, history = train_weight_estimator(
+                train_items, val_items, criterion, s_count, tc,
+                hidden=cfg["estimator"]["hidden"])
+    except Exception as exc:
+        raise TrainingError(f"training {strat} for seed {seed} failed: "
+                            f"{type(exc).__name__}: {exc}") from exc
+    return model, history["best_val"]
+
+
+def _train_all(job: tuple, needed: list[str]) -> list[tuple]:
+    """Train each strategy of ``needed``, results in ``needed`` order.
+
+    One forked worker per strategy, up to the usable CPUs; serially in
+    this process when only one would run or the platform cannot fork.
+    Each strategy trains from its own seed on the same items, with BLAS
+    at one thread (``train_strategy_models``), so the results do not
+    depend on which way they were computed.
+    """
+    workers = min(len(needed), usable_cpus())
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_train_one(job, strat) for strat in needed]
+    with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_worker_job, initargs=(job,)) as pool:
+        futures = [pool.submit(_train_in_worker, strat) for strat in needed]
+        try:
+            return [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            unfinished = [s for s, f in zip(needed, futures)
+                          if f.exception() is not None]
+            raise TrainingError(
+                f"a training worker died while training {unfinished} for "
+                f"seed {job[1]}: {exc}") from exc
+
+
+@single_blas_thread()
 def train_strategy_models(cfg: dict, world: World, graph: DecodingGraph,
                           seed: int, strategies: list[str],
                           ) -> tuple[dict, dict]:
@@ -231,26 +316,11 @@ def train_strategy_models(cfg: dict, world: World, graph: DecodingGraph,
                                        kinds, seed, need_oracle)
     val_items = build_training_items(world, graph, val_utts, conditions,
                                      kinds, seed + 1, need_oracle)
-    rel_dim = train_items[0]["reliability"].shape[1]
-    s_count = world.config.num_states
-    models = {}
-    val_ce = {}
-    for strat in needed:
-        tc = _train_config(cfg, seed)
-        if strat.startswith("dfn-"):
-            variant = strat.split("-", 1)[1]
-            d = cfg["dfn"]
-            model, history = train_dfn(
-                train_items, val_items, variant, s_count, rel_dim, tc,
-                widths=tuple(d["widths"]), hidden=d["hidden"],
-                scale=d["scale"], dropout=d["dropout"])
-        else:
-            criterion = strat.split("-", 1)[1]
-            model, history = train_weight_estimator(
-                train_items, val_items, criterion, s_count, tc,
-                hidden=cfg["estimator"]["hidden"])
-        models[strat] = model
-        val_ce[strat] = history["best_val"]
+    job = (cfg, seed, world.config.num_states,
+           train_items[0]["reliability"].shape[1], train_items, val_items)
+    trained = _train_all(job, needed)
+    models = {strat: model for strat, (model, _) in zip(needed, trained)}
+    val_ce = {strat: best for strat, (_, best) in zip(needed, trained)}
     return models, val_ce
 
 
@@ -281,6 +351,7 @@ def _fuse_for_strategy(strategy: str, posts: dict, logs: list[np.ndarray],
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+@single_blas_thread()
 def run_sweep(cfg: dict, models_out: dict | None = None) -> SweepResult:
     """Run the full experiment grid described by a validated config dict."""
     strategies = list(cfg["strategies"])

@@ -8,6 +8,7 @@ only claimed accurate for stationary noise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +47,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(n_mels: int, n_fft: int = N_FFT, fs: int = SAMPLE_RATE,
                    fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
-    """Triangular mel filters over the rfft bins, shape (n_mels, n_fft//2+1)."""
+    """Triangular mel filters over the rfft bins, shape (n_mels, n_fft//2+1).
+
+    Memoised; the returned array is shared and read-only."""
     if fmax is None:
         fmax = fs / 2.0
     points = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
@@ -59,15 +63,20 @@ def mel_filterbank(n_mels: int, n_fft: int = N_FFT, fs: int = SAMPLE_RATE,
         up = (bins - lo) / max(mid - lo, 1e-12)
         down = (hi - bins) / max(hi - mid, 1e-12)
         fb[m] = np.clip(np.minimum(up, down), 0.0, None)
+    fb.flags.writeable = False
     return fb
 
 
+@functools.lru_cache(maxsize=None)
 def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II basis, rows are coefficients."""
+    """Orthonormal DCT-II basis, rows are coefficients.
+
+    Memoised; the returned array is shared and read-only."""
     k = np.arange(n)[:, None]
     m = np.arange(n)[None, :]
     c = np.cos(np.pi * k * (2 * m + 1) / (2 * n)) * np.sqrt(2.0 / n)
     c[0] /= np.sqrt(2.0)
+    c.flags.writeable = False
     return c
 
 

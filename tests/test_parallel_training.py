@@ -1,0 +1,240 @@
+"""Learned fusers of a seed train in forked worker processes: the results
+must not depend on the worker count or the BLAS thread count, and a failing
+or dying worker must end in a named error, never a hang."""
+
+import contextlib
+import json
+import multiprocessing
+import os
+import signal
+import warnings
+
+import pytest
+
+from avfusion import blas, experiment
+from avfusion.blas import single_blas_thread
+from avfusion.cli import main
+from avfusion.config import validate_config
+from avfusion.corpus import WorldConfig, build_world
+from avfusion.decode import build_decoding_graph
+
+TWO_DFN = {
+    "world": {"vocab_size": 3, "states_per_word": 2,
+              "mean_duration_frames": 4.0, "calib_frames": 80,
+              "calib_video_frames": 60},
+    "corpus": {"train": 4, "val": 2, "test": 2,
+               "min_words": 2, "max_words": 3},
+    "snr_grid": [0],
+    "noise_kinds": ["white"],
+    "strategies": ["ao", "dfn-lstm", "dfn-blstm"],
+    "seeds": [0],
+    "training": {"lr0": 0.003, "batch_size": 4, "check_interval": 10,
+                 "patience": 30, "max_steps": 30},
+    "dfn": {"widths": [16, 8, 8], "hidden": 4, "scale": 1.0,
+            "dropout": 0.1},
+    "out_dir": "unused",
+}
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the platform cannot fork; training always runs serially")
+needs_openblas = pytest.mark.skipif(
+    blas._openblas() is None, reason="numpy's bundled OpenBLAS not found")
+
+
+def _blas_threads() -> int:
+    return blas._openblas()[0]()
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    """Pretend ``n`` usable CPUs: 2 forces the pool, 1 the serial path."""
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: n)
+
+
+@contextlib.contextmanager
+def _outer_blas_threads(n: int):
+    """Set OpenBLAS's thread count outside the pin (no-op without it)."""
+    funcs = blas._openblas()
+    if funcs is None:
+        yield
+        return
+    get, set_ = funcs
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail instead of hanging if the body outlives ``seconds``."""
+    def expire(*_):
+        raise TimeoutError(f"still waiting after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def setup():
+    cfg = validate_config(json.loads(json.dumps(TWO_DFN)))
+    world = build_world(WorldConfig(**cfg["world"]), 0)
+    return cfg, world, build_decoding_graph(world, cfg["lm_scale"])
+
+
+@pytest.fixture
+def cfg_path(tmp_path):
+    path = tmp_path / "two_dfn.json"
+    path.write_text(json.dumps(TWO_DFN))
+    return str(path)
+
+
+def _train(setup):
+    cfg, world, graph = setup
+    return experiment.train_strategy_models(cfg, world, graph, 0,
+                                            cfg["strategies"])
+
+
+@needs_fork
+def test_pool_and_serial_training_bit_identical(setup, monkeypatch):
+    _cpus(monkeypatch, 2)
+    pooled, pooled_ce = _train(setup)
+    _cpus(monkeypatch, 1)
+    serial, serial_ce = _train(setup)
+    assert list(pooled) == list(serial) == ["dfn-lstm", "dfn-blstm"]
+    assert pooled_ce == serial_ce
+    for strat in serial:
+        a, b = pooled[strat].net.get_state(), serial[strat].net.get_state()
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key].tobytes() == b[key].tobytes(), (strat, key)
+        assert pooled[strat].input_mean.tobytes() == \
+            serial[strat].input_mean.tobytes()
+
+
+@needs_fork
+def test_sweep_bytes_independent_of_workers_and_blas_threads(
+        cfg_path, tmp_path, monkeypatch):
+    outputs = []
+    for cpus, threads in ((2, 2), (1, 1)):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        with _outer_blas_threads(threads):
+            assert main(["sweep", "--config", cfg_path,
+                         "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("sweep.json", "sweep.csv")])
+    assert outputs[0] == outputs[1]
+
+
+@needs_openblas
+def test_pin_sets_one_thread_and_restores():
+    with _outer_blas_threads(2):
+        before = _blas_threads()
+        with single_blas_thread():
+            assert _blas_threads() == 1
+        assert _blas_threads() == before
+
+
+def test_missing_openblas_warns_once_and_runs_unpinned(monkeypatch):
+    monkeypatch.setattr(blas.glob, "glob", lambda pattern: [])
+    blas._openblas.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                with single_blas_thread():
+                    pass
+    finally:
+        blas._openblas.cache_clear()
+    assert [str(w.message) for w in caught] == [
+        "numpy's bundled OpenBLAS thread controls were not found; the BLAS "
+        "thread count is left as is, so results may depend on it"]
+
+
+@needs_fork
+@needs_openblas
+def test_blas_pinned_inside_workers(setup, monkeypatch):
+    def fake_train_dfn(*args, **kwargs):
+        return (os.getpid(), _blas_threads()), {"best_val": 0.0}
+
+    monkeypatch.setattr(experiment, "train_dfn", fake_train_dfn)
+    _cpus(monkeypatch, 2)
+    with _outer_blas_threads(2):
+        models, _ = _train(setup)
+    seen = list(models.values())
+    assert all(pid != os.getpid() for pid, _ in seen)
+    assert [threads for _, threads in seen] == [1, 1]
+
+
+def _failing_blstm(parent_pid: int, die: bool):
+    """A train_dfn that fails on the BLSTM only, inside a worker; with
+    ``die`` the worker exits without raising."""
+    real = experiment.train_dfn
+
+    def train_dfn(train_items, val_items, variant, *args, **kwargs):
+        if variant == "blstm":
+            if os.getpid() == parent_pid:
+                raise AssertionError("expected to run in a worker")
+            if die:
+                os._exit(3)
+            raise ValueError("boom")
+        return real(train_items, val_items, variant, *args, **kwargs)
+
+    return train_dfn
+
+
+@needs_fork
+def test_worker_exception_names_strategy_and_seed(setup, monkeypatch):
+    monkeypatch.setattr(experiment, "train_dfn",
+                        _failing_blstm(os.getpid(), die=False))
+    _cpus(monkeypatch, 2)
+    with pytest.raises(experiment.TrainingError,
+                       match=r"dfn-blstm for seed 0 failed: ValueError: boom"):
+        _train(setup)
+
+
+@needs_fork
+def test_dead_worker_raises_instead_of_hanging(setup, monkeypatch):
+    monkeypatch.setattr(experiment, "train_dfn",
+                        _failing_blstm(os.getpid(), die=True))
+    _cpus(monkeypatch, 2)
+    with _deadline(120), pytest.raises(experiment.TrainingError,
+                                       match=r"worker died.*seed 0"):
+        _train(setup)
+
+
+@needs_fork
+@pytest.mark.parametrize("die", [False, True], ids=["raises", "dies"])
+def test_train_command_exits_1_on_worker_failure(cfg_path, tmp_path,
+                                                 monkeypatch, capsys, die):
+    monkeypatch.setattr(experiment, "train_dfn",
+                        _failing_blstm(os.getpid(), die=die))
+    _cpus(monkeypatch, 2)
+    with _deadline(120):
+        code = main(["train", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: TrainingError: ")
+    assert "dfn-blstm" in err and "seed 0" in err
+
+
+def test_single_learned_strategy_trains_in_process(setup, monkeypatch):
+    cfg, world, graph = setup
+
+    def fake_train_dfn(*args, **kwargs):
+        return os.getpid(), {"best_val": 0.5}
+
+    monkeypatch.setattr(experiment, "train_dfn", fake_train_dfn)
+    _cpus(monkeypatch, 2)
+    models, val_ce = experiment.train_strategy_models(
+        cfg, world, graph, 0, ["ao", "dfn-lstm"])
+    assert models == {"dfn-lstm": os.getpid()}
+    assert val_ce == {"dfn-lstm": 0.5}

@@ -11,13 +11,16 @@ from avfusion.signal_reliability import (
     SAMPLE_RATE,
     SNR_CAP_DB,
     ReliabilityLayout,
+    N_FFT,
     assemble_reliability_vector,
     dct2,
+    dct_matrix,
     delta,
     estimate_frame_snr,
     frame_snr,
     idct_features,
     image_distortion,
+    mel_filterbank,
     mfcc_frames,
     num_frames,
     pitch_nccf,
@@ -176,6 +179,40 @@ class TestPitch:
             _, voicing = pitch_nccf(x)
             assert np.all(voicing >= 0.0)
             assert np.all(voicing <= 1.0)
+
+
+class TestCachedMatrices:
+    """dct_matrix and mel_filterbank are memoised and shared read-only."""
+
+    def test_dct_matrix_is_the_formula_and_read_only(self):
+        for n in (23, 32):
+            k = np.arange(n)[:, None]
+            m = np.arange(n)[None, :]
+            want = np.cos(np.pi * k * (2 * m + 1) / (2 * n)) * np.sqrt(2.0 / n)
+            want[0] /= np.sqrt(2.0)
+            got = dct_matrix(n)
+            assert dct_matrix(n) is got
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0, 0] = 0.0
+
+    def test_mel_filterbank_is_the_formula_and_read_only(self):
+        n_mels = 23
+        mel = np.linspace(0.0, 2595.0 * np.log10(1.0 + SAMPLE_RATE / 2.0 / 700.0),
+                          n_mels + 2)
+        points = 700.0 * (10.0 ** (mel / 2595.0) - 1.0)
+        bins = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
+        want = np.zeros((n_mels, bins.shape[0]))
+        for i in range(n_mels):
+            lo, mid, hi = points[i:i + 3]
+            up = (bins - lo) / max(mid - lo, 1e-12)
+            down = (hi - bins) / max(hi - mid, 1e-12)
+            want[i] = np.clip(np.minimum(up, down), 0.0, None)
+        got = mel_filterbank(n_mels)
+        assert mel_filterbank(n_mels) is got
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
 
 
 class TestImageFeatures:
