@@ -1,15 +1,30 @@
 """Command line front end: one subcommand per pipeline stage.
 
-The stages chain through artifacts in a shared output directory:
+The stages share an output directory. Four chain through files, each
+reading what the stage before it wrote:
 
-    synth    -> manifest.json, world.json, WAV audio, raw video, alignments
-    extract  -> per-utterance posterior + reliability matrices (needs synth)
     train    -> model checkpoints under models/ (self-contained)
     fuse     -> fused log-posterior matrices under fused/ (needs train)
     decode   -> word hypotheses under decode/ (needs fuse)
     evaluate -> word error rates under eval/ (needs decode)
+
+Two are export-only: no later stage reads what they write.
+
+    synth    -> manifest.json, world.json, WAV audio, raw video, alignments
+    extract  -> per-utterance posterior + reliability matrices under feats/
+                (needs synth's manifest)
+
+Two run apart from the chain:
+
     sweep    -> sweep.csv + sweep.json, the full strategy-by-SNR grid
     report   -> report.csv, plot-ready long format (needs sweep)
+
+`sweep`, `fuse` and `extract` build each (seed, condition, utterance) cell
+with the same code (`experiment.condition_cells`): `extract` writes the very
+posteriors and reliability matrices that `fuse` fuses and `sweep` decodes,
+for the conditions synth recorded and the config's first seed. The chain
+differs from the sweep only in that `decode` reads the fused matrices
+rounded to float32.
 
 Every artifact is a deterministic function of the config plus seed, so any
 stage can be re-run in place and produces identical bytes.  The output
@@ -31,7 +46,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +53,6 @@ import numpy as np
 from .blas import single_blas_thread
 from .config import DEFAULT_CONFIG, ConfigError, load_config, validate_config
 from .core import (
-    AlignmentTarget,
     STREAMS,
     UtteranceRecord,
     read_manifest,
@@ -48,13 +61,9 @@ from .core import (
     write_matrix,
 )
 from .corpus import (
-    Utterance,
     World,
     WorldConfig,
     build_world,
-    load_audio_wav,
-    load_video_raw,
-    mix_noise,
     save_audio_wav,
     save_video_raw,
 )
@@ -63,20 +72,26 @@ from .experiment import (
     ALL_STRATEGIES,
     TRAINED_STRATEGIES,
     SweepResult,
-    _fuse_for_strategy,
-    _sample_split,
+    condition_cells,
     condition_label,
-    reliability_features,
+    fuse_cells,
+    mix_test_noise,
     run_sweep,
-    stream_posterior_set,
+    test_split,
     train_strategy_models,
-    video_signal_features,
+    video_cache,
     write_report_csv,
     write_sweep_csv,
     write_sweep_json,
 )
 from .fusion import DfnModel, WeightEstimator
-from .signal_reliability import ReliabilityLayout, frame_snr
+
+# unused here, bound only so that perfbench/tracing.py can wrap them on cli
+from .corpus import load_audio_wav, load_video_raw, mix_noise  # noqa: F401
+from .experiment import (  # noqa: F401
+    reliability_features,
+    video_signal_features,
+)
 
 
 class MissingArtifact(RuntimeError):
@@ -118,14 +133,6 @@ def _thread_count(args) -> int:
     if n < 1:
         raise ConfigError(f"threads must be >= 1, got {n}")
     return n
-
-
-def _map_ordered(fn, items, threads: int) -> list:
-    """Apply fn to each item, in parallel when asked, preserving order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _strategies(args, cfg: dict, trained_only: bool = False) -> list[str]:
@@ -171,18 +178,6 @@ def _world_for_seed(cfg: dict, seed: int) -> World:
     return build_world(WorldConfig(**cfg["world"]), seed)
 
 
-def _test_split(cfg: dict, world: World):
-    c = cfg["corpus"]
-    return _sample_split(world, c["test"], 200_000,
-                         c["min_words"], c["max_words"])
-
-
-def _mix_for_cell(utt, cond, kinds, seed: int, idx: int):
-    """The one noise-injection convention shared by sweep and the CLI."""
-    kind = kinds[idx % len(kinds)]
-    return mix_noise(utt, kind, cond, seed=seed * 104729 + idx)
-
-
 def _conf_path(video_path: str) -> str:
     return video_path.rsplit(".", 1)[0] + ".conf.avpf"
 
@@ -202,7 +197,7 @@ def _cmd_synth(args) -> int:
             raise ConfigError(f"--snr-grid must be comma-separated numbers, "
                               f"got {args.snr_grid!r}")
     world = _world_for_seed(cfg, seed)
-    utts = _test_split(cfg, world)
+    utts = test_split(cfg, world)
     conditions = [float(s) for s in cfg["snr_grid"]] + [None]
     kinds = list(cfg["noise_kinds"])
 
@@ -216,7 +211,7 @@ def _cmd_synth(args) -> int:
         audio_paths = {}
         for cond in conditions:
             label = condition_label(cond)
-            noisy = _mix_for_cell(utt, cond, kinds, seed, idx)
+            noisy = mix_test_noise(utt, cond, kinds, seed, idx)
             wav = f"audio/{utt.utt_id}.{label}.wav"
             save_audio_wav(out / wav, noisy.audio)
             audio_paths[label] = wav
@@ -239,69 +234,40 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _load_record_utterance(out: Path, record: UtteranceRecord, label: str,
-                           num_states: int, video, conf) -> Utterance:
-    clean = load_audio_wav(out / record.audio_paths["clean"])
-    audio = load_audio_wav(out / record.audio_paths[label])
-    align = AlignmentTarget(
-        read_matrix(out / record.alignment_path)[:, 0].astype(int),
-        num_states)
-    utt = Utterance(
-        utt_id=record.utt_id, words=list(record.transcript),
-        alignment=align, audio=audio, audio_clean=clean,
-        video=video, video_clean=video, confidence=conf,
-        true_snr=np.zeros(align.num_frames),
-        snr_db=None if label == "clean" else float(label),
-        noise_component=None if label == "clean" else audio - clean)
-    utt.true_snr = frame_snr(utt)
-    return utt
-
-
 def _cmd_extract(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
     threads = _thread_count(args)
     manifest_path = _require(out / "manifest.json", "synth")
-    _require(out / "world.json", "synth")
-    doc = json.loads((out / "world.json").read_text())
-    wc = dict(doc["config"])
-    wc["f0_range"] = tuple(wc["f0_range"])
-    world = build_world(WorldConfig(**wc), doc["seed"])
     world_path, records = read_manifest(manifest_path)
-    layout = ReliabilityLayout()
+    seed = int(cfg["seeds"][0])
+    world = _world_for_seed(cfg, seed)
+    utts = test_split(cfg, world)
+    if [r.utt_id for r in records] != [u.utt_id for u in utts]:
+        raise MissingArtifact(
+            f"{manifest_path} does not list this config's test split; run "
+            f"the `synth` subcommand first with the same --config and --seed")
+    labels = sorted({lab for r in records for lab in r.audio_paths})
+    if args.snr is not None:
+        only = condition_label(_parse_condition(args.snr))
+        labels = [lab for lab in labels if lab == only]
+    cache = video_cache(world, utts, threads)
     (out / "feats").mkdir(exist_ok=True)
-    only = None if args.snr is None else condition_label(_parse_condition(args.snr))
-
-    def one(record: UtteranceRecord) -> int:
-        video = load_video_raw(out / record.video_path,
-                               record.num_video_frames)
-        conf = read_matrix(out / _conf_path(record.video_path))[:, 0]
-        labels = [lab for lab in record.audio_paths
-                  if only is None or lab == only]
-        cached_video = None
-        video_feats = None
-        for label in sorted(labels):
-            utt = _load_record_utterance(out, record, label,
-                                         world.config.num_states,
-                                         video, conf)
-            posts = stream_posterior_set(utt, world, cached_video)
-            if cached_video is None:
-                cached_video = {s: posts[s] for s in ("VA", "VS")}
-                video_feats = video_signal_features(utt, layout)
-            rel = reliability_features(utt, posts, layout, video_feats)
-            for stream in STREAMS:
-                ppath = f"feats/{record.utt_id}.{label}.{stream}.avpf"
-                write_matrix(out / ppath, posts[stream].frames)
-                record.posterior_paths.setdefault(stream, {})[label] = ppath
-            rpath = f"feats/{record.utt_id}.{label}.rel.avpf"
-            write_matrix(out / rpath, rel)
-            record.posterior_paths.setdefault("REL", {})[label] = rpath
-        return len(labels)
-
-    cells = sum(_map_ordered(one, records, threads))
+    for label in labels:
+        cells = condition_cells(world, utts, cache, _parse_condition(label),
+                                list(cfg["noise_kinds"]), seed, threads)
+        for record, cell in zip(records, cells):
+            mats = {s: cell.posts[s].frames for s in STREAMS}
+            mats["rel"] = cell.rel
+            for name, mat in mats.items():
+                path = f"feats/{record.utt_id}.{label}.{name}.avpf"
+                write_matrix(out / path, mat)
+                paths = record.posterior_paths.setdefault(name.upper(), {})
+                paths[label] = path
     write_manifest(out / "manifest.json", world_path, records)
-    print(f"extract: wrote posteriors + reliability for {cells} "
-          f"utterance-conditions under {out / 'feats'}")
+    print(f"extract: wrote posteriors + reliability for "
+          f"{len(labels) * len(records)} utterance-conditions under "
+          f"{out / 'feats'}")
     return 0
 
 
@@ -350,43 +316,27 @@ def _cmd_fuse(args) -> int:
     threads = _thread_count(args)
     strategies = _strategies(args, cfg)
     conditions = _conditions(args, cfg)
-    kinds = list(cfg["noise_kinds"])
-    layout = ReliabilityLayout()
     written = 0
     for seed in [int(s) for s in cfg["seeds"]]:
         world = _world_for_seed(cfg, seed)
         models = _load_models(out, strategies, seed)
-        utts = _test_split(cfg, world)
-        cache = []
-        for utt in utts:
-            posts = stream_posterior_set(utt, world)
-            cache.append(({s: posts[s] for s in ("VA", "VS")},
-                          video_signal_features(utt, layout)))
+        utts = test_split(cfg, world)
+        cache = video_cache(world, utts, threads)
         for strat in strategies:
             (out / "fused" / strat / f"seed{seed}").mkdir(
                 parents=True, exist_ok=True)
-
-        def one(idx_utt) -> int:
-            idx, utt = idx_utt
-            cached_posts, video_feats = cache[idx]
-            count = 0
-            for cond in conditions:
-                label = condition_label(cond)
-                noisy = _mix_for_cell(utt, cond, kinds, seed, idx)
-                posts = stream_posterior_set(noisy, world, cached_posts)
-                logs = [np.log(posts[s].frames) for s in STREAMS]
-                rel = reliability_features(noisy, posts, layout, video_feats)
-                for strat in strategies:
-                    fused = _fuse_for_strategy(strat, posts, logs, rel, noisy,
-                                               world, models,
-                                               cfg["oracle_mode"])
-                    mat = getattr(fused, "frames", fused)
+        for cond in conditions:
+            label = condition_label(cond)
+            cells = condition_cells(world, utts, cache, cond,
+                                    list(cfg["noise_kinds"]), seed, threads)
+            fused_cells = fuse_cells(cells, strategies, world, models,
+                                     cfg["oracle_mode"])
+            for utt, fused in zip(utts, fused_cells):
+                for strat, mat in zip(strategies, fused):
                     write_matrix(out / "fused" / strat / f"seed{seed}" /
-                                 f"{utt.utt_id}.{label}.avpf", mat)
-                    count += 1
-            return count
-
-        written += sum(_map_ordered(one, list(enumerate(utts)), threads))
+                                 f"{utt.utt_id}.{label}.avpf",
+                                 getattr(mat, "frames", mat))
+                    written += 1
     print(f"fuse: wrote {written} fused matrices under {out / 'fused'}")
     return 0
 
@@ -401,7 +351,7 @@ def _cmd_decode(args) -> int:
     for seed in [int(s) for s in cfg["seeds"]]:
         world = _world_for_seed(cfg, seed)
         graph = build_decoding_graph(world, cfg["lm_scale"])
-        utts = _test_split(cfg, world)
+        utts = test_split(cfg, world)
         for strat in strategies:
             hyps: dict = {}
             for cond in conditions:
@@ -432,7 +382,7 @@ def _cmd_evaluate(args) -> int:
     refs: dict = {}
     for seed in seeds:
         world = _world_for_seed(cfg, seed)
-        refs[seed] = {u.utt_id: u.words for u in _test_split(cfg, world)}
+        refs[seed] = {u.utt_id: u.words for u in test_split(cfg, world)}
     results: dict = {}
     for strat in strategies:
         results[strat] = {}

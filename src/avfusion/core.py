@@ -71,9 +71,6 @@ class PosteriorSequence:
     def num_states(self) -> int:
         return self.frames.shape[1]
 
-    def log(self) -> np.ndarray:
-        return np.log(self.frames)
-
 
 @dataclass(frozen=True)
 class FusedLogPosterior:

@@ -102,32 +102,30 @@ class DecodeResult:
     log_score: float
 
 
-def _emissions(fused: FusedLogPosterior | np.ndarray, graph: DecodingGraph,
-               divide_by_prior: bool) -> np.ndarray:
+def _emissions(fused: FusedLogPosterior | np.ndarray,
+               graph: DecodingGraph) -> np.ndarray:
     lp = fused.frames if isinstance(fused, FusedLogPosterior) else \
         np.asarray(fused, dtype=np.float64)
     if lp.ndim != 2 or lp.shape[1] != graph.num_states:
         raise ValueError(f"emission matrix shape {lp.shape} does not match "
                          f"{graph.num_states} graph states")
-    if divide_by_prior:
-        lp = lp + np.log(graph.num_states)  # uniform prior
     return lp
 
 
-def viterbi_decode(fused: FusedLogPosterior | np.ndarray, graph: DecodingGraph,
-                   divide_by_prior: bool = False) -> DecodeResult:
+def viterbi_decode(fused: FusedLogPosterior | np.ndarray,
+                   graph: DecodingGraph) -> DecodeResult:
     """Best word sequence and state path under emissions + transitions + LM."""
-    return viterbi_decode_batch([fused], graph, divide_by_prior)[0]
+    return viterbi_decode_batch([fused], graph)[0]
 
 
-def viterbi_decode_batch(fused_list: list, graph: DecodingGraph,
-                         divide_by_prior: bool = False) -> list[DecodeResult]:
+def viterbi_decode_batch(fused_list: list,
+                         graph: DecodingGraph) -> list[DecodeResult]:
     """``viterbi_decode`` of several equally long emission matrices at once.
 
     Each matrix runs its own recurrence along a leading axis, so the results
     equal separate decodes while the per-frame overhead is paid once.
     """
-    em = np.stack([_emissions(f, graph, divide_by_prior) for f in fused_list])
+    em = np.stack([_emissions(f, graph) for f in fused_list])
     n_dec, t_len, s = em.shape
     has_prev = graph.chain_prev >= 0
     prev_idx = np.where(has_prev, graph.chain_prev, 0)
@@ -181,8 +179,7 @@ def viterbi_decode_batch(fused_list: list, graph: DecodingGraph,
 
 
 def forced_align(transcript: list[str], fused: FusedLogPosterior | np.ndarray,
-                 graph: DecodingGraph,
-                 divide_by_prior: bool = False) -> AlignmentTarget:
+                 graph: DecodingGraph) -> AlignmentTarget:
     """Viterbi over the linear state chain of the given transcript only.
 
     The path starts at the first chain node, ends at the last, and may only
@@ -191,7 +188,7 @@ def forced_align(transcript: list[str], fused: FusedLogPosterior | np.ndarray,
     for word in transcript:
         if word not in graph.words:
             raise ValueError(f"word {word!r} not in the lexicon")
-    em = _emissions(fused, graph, divide_by_prior)
+    em = _emissions(fused, graph)
     chain = [s for word in transcript
              for s in graph.chains[graph.words.index(word)]]
     n = len(chain)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -74,7 +74,7 @@ def condition_label(snr_db: float | None) -> str:
 def audio_signal_features(utt: Utterance, layout: ReliabilityLayout) -> dict:
     mfcc = mfcc_frames(utt.audio, n_keep=layout.n_mfcc)
     f0, voicing = pitch_nccf(utt.audio)
-    feats = {
+    return {
         "mfcc": mfcc,
         "delta_mfcc": delta(mfcc),
         "snr": utt.true_snr,
@@ -82,9 +82,6 @@ def audio_signal_features(utt: Utterance, layout: ReliabilityLayout) -> dict:
         "delta_f0": delta(f0),
         "voicing": voicing,
     }
-    if layout.include_delta_voicing:
-        feats["delta_voicing"] = delta(voicing)
-    return feats
 
 
 def video_signal_features(utt: Utterance, layout: ReliabilityLayout) -> dict:
@@ -324,11 +321,78 @@ def train_strategy_models(cfg: dict, world: World, graph: DecodingGraph,
     return models, val_ce
 
 
-def _fuse_for_strategy(strategy: str, posts: dict, logs: list[np.ndarray],
-                       rel: np.ndarray, utt: Utterance, world: World,
-                       models: dict, oracle_mode: str, oracle=None):
-    """Fused log-posteriors of one cell; ``oracle`` optionally carries the
-    cell's precomputed oracle weights."""
+def test_split(cfg: dict, world: World) -> list[Utterance]:
+    """The clean test utterances of a world; every cell starts from one."""
+    c = cfg["corpus"]
+    return _sample_split(world, c["test"], 200_000,
+                         c["min_words"], c["max_words"])
+
+
+def mix_test_noise(utt: Utterance, cond: float | None, kinds: list[str],
+                   seed: int, idx: int) -> Utterance:
+    """Test utterance ``idx`` of a seed heard in condition ``cond``: the one
+    noise convention of the sweep, the staged commands and synth's WAVs."""
+    kind = kinds[idx % len(kinds)]
+    return mix_noise(utt, kind, cond, seed=seed * 104729 + idx)
+
+
+def _map_ordered(fn, items, threads: int) -> list:
+    """Apply fn to each item, in parallel when asked, preserving order."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def video_cache(world: World, utts: list[Utterance],
+                threads: int = 1) -> list[tuple[dict, dict]]:
+    """Per test utterance, what no audio condition changes: its VA and VS
+    posteriors and its video signal features."""
+    layout = ReliabilityLayout()
+
+    def one(utt: Utterance) -> tuple[dict, dict]:
+        posts = {s: compute_stream_posteriors(utt, world, s)
+                 for s in ("VA", "VS")}
+        return posts, video_signal_features(utt, layout)
+
+    return _map_ordered(one, utts, threads)
+
+
+@dataclass
+class Cell:
+    """One (seed, condition, test utterance) cell of the recognizer."""
+    utt: Utterance  # the utterance as heard in the condition
+    posts: dict[str, PosteriorSequence]
+    logs: list[np.ndarray]  # per stream, in STREAMS order
+    rel: np.ndarray  # (T, reliability dim)
+
+
+def condition_cells(world: World, utts: list[Utterance], cache: list,
+                    cond: float | None, kinds: list[str], seed: int,
+                    threads: int = 1) -> list[Cell]:
+    """The cells of one condition, one per test utterance, in order.
+
+    ``cache`` is ``video_cache`` of the same utterances; ``threads`` maps
+    the utterances over a thread pool without changing the cells.
+    """
+    layout = ReliabilityLayout()
+
+    def one(idx: int) -> Cell:
+        cached_posts, video_feats = cache[idx]
+        noisy = mix_test_noise(utts[idx], cond, kinds, seed, idx)
+        posts = stream_posterior_set(noisy, world, cached_posts)
+        logs = [np.log(posts[s].frames) for s in STREAMS]
+        rel = reliability_features(noisy, posts, layout, video_feats)
+        return Cell(noisy, posts, logs, rel)
+
+    return _map_ordered(one, range(len(utts)), threads)
+
+
+def _fuse_for_strategy(strategy: str, cell: Cell, world: World,
+                       models: dict, oracle):
+    """Fused log-posteriors of one cell; ``oracle`` carries the cell's
+    oracle weights when the strategy is ``oracle``."""
+    logs = cell.logs
     if strategy == "ao":
         return logs[0]
     if strategy == "va":
@@ -336,19 +400,33 @@ def _fuse_for_strategy(strategy: str, posts: dict, logs: list[np.ndarray],
     if strategy == "vs":
         return logs[2]
     if strategy == "early":
-        return np.log(compute_joint_posteriors(utt, world))
+        return np.log(compute_joint_posteriors(cell.utt, world))
     if strategy == "static":
         return static_fuse(logs, np.full(len(logs), 1.0 / len(logs)))
     if strategy == "oracle":
-        if oracle is None:
-            oracle = oracle_weights(logs, utt.alignment, mode=oracle_mode)
         return dynamic_fuse(logs, oracle)
     if strategy in ("dsw-mse", "dsw-ce"):
-        return dynamic_fuse(logs, models[strategy].predict(rel))
+        return dynamic_fuse(logs, models[strategy].predict(cell.rel))
     if strategy in ("dfn-lstm", "dfn-blstm"):
-        return dfn_fuse([posts[s].frames for s in STREAMS], rel,
+        return dfn_fuse([cell.posts[s].frames for s in STREAMS], cell.rel,
                         models[strategy])
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def fuse_cells(cells: list[Cell], strategies: list[str], world: World,
+               models: dict, oracle_mode: str) -> list[list]:
+    """Fused log-posteriors of a condition's cells, indexed [cell][strategy].
+
+    The oracle weights of all the cells come from one solver run.
+    """
+    oracle = [None] * len(cells)
+    if "oracle" in strategies:
+        oracle = oracle_weights_batch([cell.logs for cell in cells],
+                                      [cell.utt.alignment for cell in cells],
+                                      mode=oracle_mode)
+    return [[_fuse_for_strategy(strategy, cell, world, models, lam)
+             for strategy in strategies]
+            for cell, lam in zip(cells, oracle)]
 
 
 @single_blas_thread()
@@ -363,7 +441,6 @@ def run_sweep(cfg: dict, models_out: dict | None = None) -> SweepResult:
     seeds = [int(s) for s in cfg["seeds"]]
     kinds = list(cfg["noise_kinds"])
     oracle_mode = cfg["oracle_mode"]
-    layout = ReliabilityLayout()
     result = SweepResult(strategies=strategies, labels=labels, seeds=seeds)
     counts: dict[str, dict[str, list[WerReport]]] = {
         s: {lab: [] for lab in labels} for s in strategies}
@@ -378,40 +455,17 @@ def run_sweep(cfg: dict, models_out: dict | None = None) -> SweepResult:
                 result.val_ce.setdefault(strat, []).append(best)
         if models_out is not None:
             models_out[seed] = models
-        c = cfg["corpus"]
-        test_utts = _sample_split(world, c["test"], 200_000,
-                                  c["min_words"], c["max_words"])
-        video_cache = []
-        for utt in test_utts:
-            cached = {
-                "VA": compute_stream_posteriors(utt, world, "VA"),
-                "VS": compute_stream_posteriors(utt, world, "VS"),
-            }
-            video_cache.append((cached, video_signal_features(utt, layout)))
+        test_utts = test_split(cfg, world)
+        cache = video_cache(world, test_utts)
         per_cell: dict[str, dict[str, list[WerReport]]] = {
             s: {lab: [] for lab in labels} for s in strategies}
         for cond, label in zip(conditions, labels):
-            cells = []
-            for idx, utt in enumerate(test_utts):
-                cached_posts, video_feats = video_cache[idx]
-                kind = kinds[idx % len(kinds)]
-                noisy = mix_noise(utt, kind, cond, seed=seed * 104729 + idx)
-                posts = stream_posterior_set(noisy, world, cached_posts)
-                logs = [np.log(posts[s].frames) for s in STREAMS]
-                rel = reliability_features(noisy, posts, layout, video_feats)
-                cells.append((utt, noisy, posts, logs, rel))
-            oracle = [None] * len(cells)
-            if "oracle" in strategies:
-                # one solver run for the whole condition
-                oracle = oracle_weights_batch(
-                    [logs for _, _, _, logs, _ in cells],
-                    [noisy.alignment for _, noisy, _, _, _ in cells],
-                    mode=oracle_mode)
-            for (utt, noisy, posts, logs, rel), lam in zip(cells, oracle):
-                fused = [_fuse_for_strategy(strategy, posts, logs, rel,
-                                            noisy, world, models,
-                                            oracle_mode, lam)
-                         for strategy in strategies]
+            cells = condition_cells(world, test_utts, cache, cond, kinds,
+                                    seed)
+            fused_cells = fuse_cells(cells, strategies, world, models,
+                                     oracle_mode)
+            for cell, fused in zip(cells, fused_cells):
+                utt = cell.utt
                 decoded = viterbi_decode_batch(fused, graph)
                 for strategy, dec in zip(strategies, decoded):
                     hyp = dec.words

@@ -1,6 +1,6 @@
-"""Stream integration strategies: early feature concatenation, static and
-dynamic log-posterior weighting, per-frame oracle weights, and the recurrent
-decision fusion network (DFN).
+"""Stream integration strategies: static and dynamic log-posterior
+weighting, per-frame oracle weights, and the recurrent decision fusion
+network (DFN).
 
 Log-domain fusion follows log p~(s|o_t) = sum_i lambda_t^i log p(s|o_t^i).
 Oracle weighting minimizes per-frame cross entropy against the alignment in
@@ -19,19 +19,6 @@ import numpy as np
 
 from .core import AlignmentTarget, FusedLogPosterior, StreamWeights
 from . import nn
-
-
-def early_integration(features: dict[str, np.ndarray]) -> np.ndarray:
-    """Concatenate per-stream feature sequences as [A; VS; VA] per frame."""
-    missing = [k for k in ("A", "VS", "VA") if k not in features]
-    if missing:
-        raise ValueError(f"missing streams for early integration: {missing}")
-    parts = [np.asarray(features[k], dtype=np.float64) for k in ("A", "VS", "VA")]
-    lengths = {p.shape[0] for p in parts}
-    if len(lengths) != 1:
-        raise ValueError(f"stream frame counts differ: {sorted(lengths)}; "
-                         "align to the audio rate first")
-    return np.concatenate(parts, axis=1)
 
 
 def _stack_logs(log_posts: list[np.ndarray]) -> np.ndarray:

@@ -276,7 +276,6 @@ class ReliabilityLayout:
     )
     n_mfcc: int = 5
     n_idct: int = 5
-    include_delta_voicing: bool = False
     _slices: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -296,11 +295,8 @@ class ReliabilityLayout:
         object.__setattr__(self, "dim", pos)
 
     def _audio_fields(self) -> list[tuple[str, int]]:
-        fields = [("mfcc", self.n_mfcc), ("delta_mfcc", self.n_mfcc),
-                  ("snr", 1), ("f0", 1), ("delta_f0", 1), ("voicing", 1)]
-        if self.include_delta_voicing:
-            fields.append(("delta_voicing", 1))
-        return fields
+        return [("mfcc", self.n_mfcc), ("delta_mfcc", self.n_mfcc),
+                ("snr", 1), ("f0", 1), ("delta_f0", 1), ("voicing", 1)]
 
     def _video_fields(self) -> list[tuple[str, int]]:
         return [("confidence", 1), ("idct", self.n_idct),

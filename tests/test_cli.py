@@ -1,14 +1,16 @@
 """End-to-end tests of the command line pipeline and its exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from avfusion import cli
 from avfusion.cli import main
-from avfusion.core import read_manifest, read_matrix
+from avfusion.core import STREAMS, read_manifest, read_matrix
 
 TINY = {
     "world": {
@@ -50,7 +52,11 @@ def pipeline_out(tiny_cfg, tmp_path_factory):
 class TestExitCodes:
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 2
-        assert "subcommand" in capsys.readouterr().out.lower() or True
+        out = capsys.readouterr().out
+        assert "usage: avfusion" in out
+        for command in ("synth", "extract", "train", "fuse", "decode",
+                        "evaluate", "sweep", "report"):
+            assert command in out
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -87,6 +93,16 @@ class TestExitCodes:
                      str(tmp_path / "empty")]) == 1
         err = capsys.readouterr().err
         assert "synth" in err
+
+    def test_extract_rejects_another_configs_manifest(self, tiny_cfg,
+                                                      tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["synth", "--config", tiny_cfg, "--out", out]) == 0
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(dict(TINY, corpus=dict(TINY["corpus"],
+                                                           test=3))))
+        assert main(["extract", "--config", str(other), "--out", out]) == 1
+        assert "synth" in capsys.readouterr().err
 
     def test_decode_before_fuse_exits_1(self, tiny_cfg, pipeline_out,
                                         capsys):
@@ -178,3 +194,82 @@ class TestSweepAndReport:
         monkeypatch.setenv("AVFUSION_OUT", str(target))
         assert main(["sweep", "--config", tiny_cfg]) == 0
         assert (target / "sweep.csv").exists()
+
+
+# two seeds, every strategy kind the staged chain handles differently: a
+# single stream, joint posteriors, fixed weights, the oracle solver and a
+# trained estimator
+CHAIN = dict(TINY, snr_grid=[-6, 3], noise_kinds=["white", "babble"],
+             strategies=["ao", "early", "static", "oracle", "dsw-ce"],
+             seeds=[0, 1], corpus=dict(TINY["corpus"], test=3))
+
+
+def _fused_bytes(out) -> dict:
+    return {p.relative_to(out): p.read_bytes()
+            for p in sorted((out / "fused").rglob("*.avpf"))}
+
+
+class TestStagedChainMatchesSweep:
+    """The staged commands and the in-memory sweep compute the same cells."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("chain")
+        cfg_path = root / "chain.json"
+        cfg_path.write_text(json.dumps(CHAIN))
+        out = root / "out"
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        fused_cells = []
+        real = cli.fuse_cells
+
+        def capture(cells, *args, **kwargs):
+            fused_cells.append(cells)
+            return real(cells, *args, **kwargs)
+
+        mp = pytest.MonkeyPatch()
+        try:
+            for stage in ("synth", "extract", "train"):
+                assert main([stage] + common) == 0
+            mp.setattr(cli, "fuse_cells", capture)
+            assert main(["fuse", "--threads", "1"] + common) == 0
+        finally:
+            mp.undo()
+        threads1 = _fused_bytes(out)
+        shutil.rmtree(out / "fused")
+        assert main(["fuse", "--threads", "2"] + common) == 0
+        threads2 = _fused_bytes(out)
+        for stage in ("decode", "evaluate"):
+            assert main([stage] + common) == 0
+        assert main(["sweep"] + common) == 0
+        return out, fused_cells, threads1, threads2
+
+    def test_evaluate_wer_equals_sweep(self, chain):
+        out = chain[0]
+        staged = json.loads((out / "eval" / "results.json").read_text())
+        swept = json.loads((out / "sweep.json").read_text())
+        assert staged["seeds"] == swept["seeds"] == CHAIN["seeds"]
+        for strategy in CHAIN["strategies"]:
+            for label in ("-6", "3", "clean"):
+                assert staged["wer"][strategy][label]["per_seed"] == \
+                    swept["wer"][strategy][label]["per_seed"], \
+                    (strategy, label)
+
+    def test_fuse_bytes_independent_of_threads(self, chain):
+        _, _, threads1, threads2 = chain
+        assert len(threads1) == 2 * 3 * 3 * len(CHAIN["strategies"])
+        assert threads1 == threads2
+
+    def test_extract_writes_the_fused_cells(self, chain):
+        out, fused_cells, _, _ = chain
+        _, records = read_manifest(out / "manifest.json")
+        # fuse runs seed 0's conditions first, in grid order then clean
+        seed0 = dict(zip(["-6", "3", "clean"], fused_cells[:3]))
+        for label, cells in seed0.items():
+            for record, cell in zip(records, cells):
+                assert record.utt_id == cell.utt.utt_id
+                mats = {s: cell.posts[s].frames for s in STREAMS}
+                mats["REL"] = cell.rel
+                for name, mat in mats.items():
+                    got = read_matrix(out / record.posterior_paths[name][label])
+                    np.testing.assert_array_equal(
+                        got, mat.astype(np.float32), err_msg=name)

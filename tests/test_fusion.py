@@ -13,7 +13,6 @@ from avfusion.fusion import (
     dfn_input_dim,
     dfn_specs,
     dynamic_fuse,
-    early_integration,
     estimator_specs,
     linear_oracle_ce,
     oracle_weights,
@@ -29,38 +28,6 @@ from avfusion import nn
 def random_log_posts(rng, n_streams, t_len, s):
     return [np.log(rng.dirichlet(np.ones(s), size=t_len))
             for _ in range(n_streams)]
-
-
-class TestEarlyIntegration:
-    def test_full_scale_concatenation_width(self):
-        feats = {"A": np.zeros((5, 43)), "VS": np.zeros((5, 34)),
-                 "VA": np.zeros((5, 43))}
-        assert early_integration(feats).shape == (5, 120)
-
-    def test_toy_width(self):
-        feats = {"A": np.zeros((2, 4)), "VS": np.zeros((2, 3)),
-                 "VA": np.zeros((2, 4))}
-        assert early_integration(feats).shape == (2, 11)
-
-    def test_slices_recover_streams(self):
-        rng = np.random.default_rng(0)
-        feats = {"A": rng.standard_normal((6, 4)),
-                 "VS": rng.standard_normal((6, 3)),
-                 "VA": rng.standard_normal((6, 5))}
-        cat = early_integration(feats)
-        npt.assert_array_equal(cat[:, :4], feats["A"])
-        npt.assert_array_equal(cat[:, 4:7], feats["VS"])
-        npt.assert_array_equal(cat[:, 7:], feats["VA"])
-
-    def test_missing_stream(self):
-        with pytest.raises(ValueError, match="missing streams"):
-            early_integration({"A": np.zeros((2, 3))})
-
-    def test_rate_mismatch(self):
-        feats = {"A": np.zeros((4, 3)), "VS": np.zeros((2, 3)),
-                 "VA": np.zeros((4, 3))}
-        with pytest.raises(ValueError, match="align"):
-            early_integration(feats)
 
 
 class TestStaticFuse:
