@@ -26,6 +26,12 @@ for the conditions synth recorded and the config's first seed. The chain
 differs from the sweep only in that `decode` reads the fused matrices
 rounded to float32.
 
+Only the stages that compute stream posteriors calibrate the world's
+stream models, a Monte Carlo fit repeated by every such stage: `extract`,
+`train`, `fuse` and `sweep` do. `synth`, `decode` and `evaluate` read only
+the world's lexicon, LM and test utterances, so they draw the world
+without calibrating it (`corpus.draw_world`).
+
 Every artifact is a deterministic function of the config plus seed, so any
 stage can be re-run in place and produces identical bytes.  The output
 directory comes from --out, else the AVFUSION_OUT environment variable,
@@ -64,6 +70,7 @@ from .corpus import (
     World,
     WorldConfig,
     build_world,
+    draw_world,
     save_audio_wav,
     save_video_raw,
 )
@@ -174,8 +181,11 @@ def _conditions(args, cfg: dict) -> list[float | None]:
     return [wanted]
 
 
-def _world_for_seed(cfg: dict, seed: int) -> World:
-    return build_world(WorldConfig(**cfg["world"]), seed)
+def _world_for_seed(cfg: dict, seed: int, calibrated: bool) -> World:
+    """The seed's world; only stages that compute stream posteriors need it
+    ``calibrated``, which costs a Monte Carlo fit of the stream models."""
+    make = build_world if calibrated else draw_world
+    return make(WorldConfig(**cfg["world"]), seed)
 
 
 def _conf_path(video_path: str) -> str:
@@ -196,7 +206,7 @@ def _cmd_synth(args) -> int:
         except ValueError:
             raise ConfigError(f"--snr-grid must be comma-separated numbers, "
                               f"got {args.snr_grid!r}")
-    world = _world_for_seed(cfg, seed)
+    world = _world_for_seed(cfg, seed, calibrated=False)
     utts = test_split(cfg, world)
     conditions = [float(s) for s in cfg["snr_grid"]] + [None]
     kinds = list(cfg["noise_kinds"])
@@ -241,7 +251,7 @@ def _cmd_extract(args) -> int:
     manifest_path = _require(out / "manifest.json", "synth")
     world_path, records = read_manifest(manifest_path)
     seed = int(cfg["seeds"][0])
-    world = _world_for_seed(cfg, seed)
+    world = _world_for_seed(cfg, seed, calibrated=True)
     utts = test_split(cfg, world)
     if [r.utt_id for r in records] != [u.utt_id for u in utts]:
         raise MissingArtifact(
@@ -286,7 +296,7 @@ def _cmd_train(args) -> int:
     score_path = out / "models" / "val_ce.json"
     scores = json.loads(score_path.read_text()) if score_path.exists() else {}
     for seed in [int(s) for s in cfg["seeds"]]:
-        world = _world_for_seed(cfg, seed)
+        world = _world_for_seed(cfg, seed, calibrated=True)
         graph = build_decoding_graph(world, cfg["lm_scale"])
         models, val_ce = train_strategy_models(cfg, world, graph, seed,
                                                strategies)
@@ -318,7 +328,7 @@ def _cmd_fuse(args) -> int:
     conditions = _conditions(args, cfg)
     written = 0
     for seed in [int(s) for s in cfg["seeds"]]:
-        world = _world_for_seed(cfg, seed)
+        world = _world_for_seed(cfg, seed, calibrated=True)
         models = _load_models(out, strategies, seed)
         utts = test_split(cfg, world)
         cache = video_cache(world, utts, threads)
@@ -349,7 +359,7 @@ def _cmd_decode(args) -> int:
     (out / "decode").mkdir(exist_ok=True)
     count = 0
     for seed in [int(s) for s in cfg["seeds"]]:
-        world = _world_for_seed(cfg, seed)
+        world = _world_for_seed(cfg, seed, calibrated=False)
         graph = build_decoding_graph(world, cfg["lm_scale"])
         utts = test_split(cfg, world)
         for strat in strategies:
@@ -381,7 +391,7 @@ def _cmd_evaluate(args) -> int:
     seeds = [int(s) for s in cfg["seeds"]]
     refs: dict = {}
     for seed in seeds:
-        world = _world_for_seed(cfg, seed)
+        world = _world_for_seed(cfg, seed, calibrated=False)
         refs[seed] = {u.utt_id: u.words for u in test_split(cfg, world)}
     results: dict = {}
     for strat in strategies:

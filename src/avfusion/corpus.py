@@ -7,7 +7,9 @@ harmonic envelope) and a smooth 32x32 glyph. Observation models are diagonal
 Gaussians in feature space, calibrated once per world by Monte Carlo, so
 single-stream posteriors come straight from Bayes' rule with a uniform
 prior. Per-stream temperature knobs inflate the calibrated variances to set
-how sharp each stream's posteriors are.
+how sharp each stream's posteriors are. ``draw_world`` stops short of the
+calibration, for callers that never compute posteriors; ``build_world``
+adds it.
 """
 
 from __future__ import annotations
@@ -184,8 +186,14 @@ def _smooth_glyph(rng: np.random.Generator, contrast: float,
     return np.clip(0.5 + contrast * pattern, 0.0, 1.0)
 
 
-def build_world(config: WorldConfig, seed: int = 0) -> World:
-    """Deterministically construct a world and calibrate its stream models."""
+def draw_world(config: WorldConfig, seed: int = 0) -> World:
+    """Deterministically draw a world without its stream models.
+
+    Everything a world fixes except the calibrated observation models:
+    vocabulary, lexicon, LM, state pitches and amplitudes, glyphs and the
+    VS projection. Enough to sample utterances, mix noise and build the
+    decoding graph; ``stream_loglik`` needs ``build_world``.
+    """
     rng = np.random.default_rng([seed, 0xA1])
     cfg = config
     vocabulary = [f"w{i:02d}" for i in range(cfg.vocab_size)]
@@ -217,9 +225,18 @@ def build_world(config: WorldConfig, seed: int = 0) -> World:
     vs_projection = rng.standard_normal((cfg.vs_obs_dim, VIDEO_SIZE * VIDEO_SIZE))
     vs_projection /= np.linalg.norm(vs_projection, axis=1, keepdims=True)
 
-    world = World(cfg, seed, vocabulary, lexicon, state_space,
-                  lm_initial, lm_bigram, state_f0, state_amps, glyphs,
-                  vs_projection)
+    return World(cfg, seed, vocabulary, lexicon, state_space,
+                 lm_initial, lm_bigram, state_f0, state_amps, glyphs,
+                 vs_projection)
+
+
+def build_world(config: WorldConfig, seed: int = 0) -> World:
+    """Deterministically draw a world and calibrate its stream models.
+
+    Calibration draws from its own generator and reads only what
+    ``draw_world`` fixed, so both functions agree on every drawn field.
+    """
+    world = draw_world(config, seed)
     _calibrate_models(world, np.random.default_rng([seed, 0xCA]))
     return world
 
@@ -454,6 +471,9 @@ def _gauss_loglik(feats: np.ndarray, means: np.ndarray, variances: np.ndarray,
 
 def stream_loglik(utterance: Utterance, world: World, stream: str) -> np.ndarray:
     """Per-frame state log-likelihoods at the stream's native frame rate."""
+    if not world.obs_means:
+        raise ValueError("the world has no calibrated stream models; build "
+                         "it with build_world, not draw_world")
     cfg = world.config
     if stream == "A":
         feats = mfcc_frames(utterance.audio, n_keep=cfg.audio_obs_dim)

@@ -12,7 +12,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    FIRST_EXCEPTION,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -43,7 +48,6 @@ from .decode import (
 from .fusion import (
     dfn_fuse,
     dynamic_fuse,
-    oracle_weights,
     oracle_weights_batch,
     static_fuse,
     train_dfn,
@@ -60,6 +64,10 @@ from .signal_reliability import (
     mfcc_frames,
     pitch_nccf,
 )
+
+# unused here, bound only so that perfbench/tracing.py can wrap it on
+# experiment
+from .fusion import oracle_weights  # noqa: F401
 
 SINGLE_STREAM_STRATEGIES = ("ao", "va", "vs")
 ALL_STRATEGIES = ("ao", "va", "vs", "early", "static", "dsw-mse", "dsw-ce",
@@ -187,7 +195,7 @@ def build_training_items(world: World, graph: DecodingGraph,
     the training recipe; the generator's own alignment is withheld.
     """
     layout = ReliabilityLayout()
-    items = []
+    items, alignments = [], []
     for idx, utt in enumerate(utts):
         cond = conditions[idx % len(conditions)]
         kind = kinds[idx % len(kinds)]
@@ -197,17 +205,21 @@ def build_training_items(world: World, graph: DecodingGraph,
         posts = stream_posterior_set(noisy, world)
         rel = reliability_features(noisy, posts, layout)
         logs = np.stack([np.log(posts[s].frames) for s in STREAMS])
-        item = {
+        items.append({
             "utt_id": utt.utt_id,
             "posteriors": [posts[s].frames for s in STREAMS],
             "log_posts": logs,
             "reliability": rel,
             "targets": target.states,
-        }
-        if need_oracle:
-            item["oracle_weights"] = oracle_weights(
-                list(logs), target, mode="renormalized").weights
-        items.append(item)
+        })
+        alignments.append(target)
+    if need_oracle:
+        # one solver run for all items: each frame is solved on its own,
+        # so the weights are those of per-item runs
+        solved = oracle_weights_batch([list(it["log_posts"]) for it in items],
+                                      alignments, mode="renormalized")
+        for item, weights in zip(items, solved):
+            item["oracle_weights"] = weights.weights
     return items
 
 
@@ -263,6 +275,16 @@ def _train_one(job: tuple, strat: str) -> tuple:
     return model, history["best_val"]
 
 
+def _stop_workers(pool: ProcessPoolExecutor) -> None:
+    """Shut the pool down without finishing its tasks: pending ones are
+    cancelled and running workers terminated, then reaped."""
+    # the executor has no public way to terminate its workers before
+    # Python 3.14 (terminate_workers), so this reads its process table
+    for proc in list((pool._processes or {}).values()):
+        proc.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _train_all(job: tuple, needed: list[str]) -> list[tuple]:
     """Train each strategy of ``needed``, results in ``needed`` order.
 
@@ -270,7 +292,8 @@ def _train_all(job: tuple, needed: list[str]) -> list[tuple]:
     this process when only one would run or the platform cannot fork.
     Each strategy trains from its own seed on the same items, with BLAS
     at one thread (``train_strategy_models``), so the results do not
-    depend on which way they were computed.
+    depend on which way they were computed. The first failure stops the
+    other workers and is raised at once.
     """
     workers = min(len(needed), usable_cpus())
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
@@ -280,14 +303,21 @@ def _train_all(job: tuple, needed: list[str]) -> list[tuple]:
             mp_context=multiprocessing.get_context("fork"),
             initializer=_set_worker_job, initargs=(job,)) as pool:
         futures = [pool.submit(_train_in_worker, strat) for strat in needed]
-        try:
+        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+        failed = [f for f in futures if f in done and f.exception() is not None]
+        if not failed:
             return [f.result() for f in futures]
-        except BrokenProcessPool as exc:
+        error = failed[0].exception()
+        if isinstance(error, BrokenProcessPool):
+            # a dead worker breaks the pool, which fails every unfinished
+            # task and stops the other workers itself
             unfinished = [s for s, f in zip(needed, futures)
                           if f.exception() is not None]
             raise TrainingError(
                 f"a training worker died while training {unfinished} for "
-                f"seed {job[1]}: {exc}") from exc
+                f"seed {job[1]}: {error}") from error
+        _stop_workers(pool)
+        raise error
 
 
 @single_blas_thread()

@@ -4,11 +4,12 @@ import json
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from avfusion import cli
+from avfusion import cli, corpus
 from avfusion.cli import main
 from avfusion.core import STREAMS, read_manifest, read_matrix
 
@@ -204,9 +205,9 @@ CHAIN = dict(TINY, snr_grid=[-6, 3], noise_kinds=["white", "babble"],
              seeds=[0, 1], corpus=dict(TINY["corpus"], test=3))
 
 
-def _fused_bytes(out) -> dict:
+def _avpf_bytes(out, sub: str) -> dict:
     return {p.relative_to(out): p.read_bytes()
-            for p in sorted((out / "fused").rglob("*.avpf"))}
+            for p in sorted((out / sub).rglob("*.avpf"))}
 
 
 class TestStagedChainMatchesSweep:
@@ -226,25 +227,32 @@ class TestStagedChainMatchesSweep:
             fused_cells.append(cells)
             return real(cells, *args, **kwargs)
 
+        assert main(["synth"] + common) == 0
+        feats = {}
+        for threads in ("1", "2"):
+            shutil.rmtree(out / "feats", ignore_errors=True)
+            assert main(["extract", "--threads", threads] + common) == 0
+            feats[threads] = _avpf_bytes(out, "feats")
+        assert main(["train"] + common) == 0
         mp = pytest.MonkeyPatch()
         try:
-            for stage in ("synth", "extract", "train"):
-                assert main([stage] + common) == 0
             mp.setattr(cli, "fuse_cells", capture)
             assert main(["fuse", "--threads", "1"] + common) == 0
         finally:
             mp.undo()
-        threads1 = _fused_bytes(out)
+        threads1 = _avpf_bytes(out, "fused")
         shutil.rmtree(out / "fused")
         assert main(["fuse", "--threads", "2"] + common) == 0
-        threads2 = _fused_bytes(out)
+        threads2 = _avpf_bytes(out, "fused")
         for stage in ("decode", "evaluate"):
             assert main([stage] + common) == 0
         assert main(["sweep"] + common) == 0
-        return out, fused_cells, threads1, threads2
+        return SimpleNamespace(out=out, cfg_path=cfg_path,
+                               fused_cells=fused_cells, threads1=threads1,
+                               threads2=threads2, feats=feats)
 
     def test_evaluate_wer_equals_sweep(self, chain):
-        out = chain[0]
+        out = chain.out
         staged = json.loads((out / "eval" / "results.json").read_text())
         swept = json.loads((out / "sweep.json").read_text())
         assert staged["seeds"] == swept["seeds"] == CHAIN["seeds"]
@@ -255,15 +263,19 @@ class TestStagedChainMatchesSweep:
                     (strategy, label)
 
     def test_fuse_bytes_independent_of_threads(self, chain):
-        _, _, threads1, threads2 = chain
-        assert len(threads1) == 2 * 3 * 3 * len(CHAIN["strategies"])
-        assert threads1 == threads2
+        assert len(chain.threads1) == 2 * 3 * 3 * len(CHAIN["strategies"])
+        assert chain.threads1 == chain.threads2
+
+    def test_extract_bytes_independent_of_threads(self, chain):
+        # 3 test utterances x 3 conditions x (A, VA, VS, REL)
+        assert len(chain.feats["1"]) == 3 * 3 * 4
+        assert chain.feats["1"] == chain.feats["2"]
 
     def test_extract_writes_the_fused_cells(self, chain):
-        out, fused_cells, _, _ = chain
+        out = chain.out
         _, records = read_manifest(out / "manifest.json")
         # fuse runs seed 0's conditions first, in grid order then clean
-        seed0 = dict(zip(["-6", "3", "clean"], fused_cells[:3]))
+        seed0 = dict(zip(["-6", "3", "clean"], chain.fused_cells[:3]))
         for label, cells in seed0.items():
             for record, cell in zip(records, cells):
                 assert record.utt_id == cell.utt.utt_id
@@ -273,3 +285,23 @@ class TestStagedChainMatchesSweep:
                     got = read_matrix(out / record.posterior_paths[name][label])
                     np.testing.assert_array_equal(
                         got, mat.astype(np.float32), err_msg=name)
+
+    def test_export_and_scoring_stages_do_not_calibrate(self, chain,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # on a copy of the fused chain, so the class's outputs stay intact
+        out = tmp_path / "out"
+        shutil.copytree(chain.out, out)
+
+        def refuse(*_):
+            raise AssertionError("stream models calibrated")
+
+        monkeypatch.setattr(corpus, "_calibrate_models", refuse)
+        common = ["--config", str(chain.cfg_path), "--out", str(out)]
+        for stage in ("synth", "decode", "evaluate"):
+            assert main([stage] + common) == 0, stage
+        for name in ["eval/results.json"] + [
+                f"decode/{strat}.seed{seed}.json"
+                for strat in CHAIN["strategies"] for seed in CHAIN["seeds"]]:
+            assert (out / name).read_bytes() == \
+                (chain.out / name).read_bytes(), name

@@ -1,5 +1,7 @@
 """Tests for the synthetic audio-visual world: generation, mixing, posteriors."""
 
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +20,7 @@ from avfusion.corpus import (
     compute_joint_posteriors,
     compute_stream_posteriors,
     corrupt_video,
+    draw_world,
     load_audio_wav,
     load_video_raw,
     mix_noise,
@@ -62,6 +65,34 @@ class TestBuildWorld:
             WorldConfig(states_per_word=0)
         with pytest.raises(ValueError, match="similarity"):
             WorldConfig(glyph_similarity=1.0)
+
+
+class TestDrawWorld:
+    """``draw_world`` is ``build_world`` without the stream models."""
+
+    def test_drawn_fields_equal_built(self):
+        cfg = WorldConfig(vocab_size=3, calib_frames=40, calib_video_frames=30)
+        drawn, built = draw_world(cfg, 5), build_world(cfg, 5)
+        assert drawn.obs_means == {} and drawn.obs_vars == {}
+        assert set(built.obs_means) == set(built.obs_vars) == {"A", "VA", "VS"}
+        for f in fields(World):
+            if f.name in ("obs_means", "obs_vars"):
+                continue
+            a, b = getattr(drawn, f.name), getattr(built, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                    f.name
+            else:
+                assert a == b, f.name
+        assert drawn.to_manifest() == built.to_manifest()
+
+    def test_stream_loglik_needs_calibration(self):
+        world = draw_world(WorldConfig(vocab_size=2), 0)
+        utt = sample_utterance(world, 2, seed=1)
+        for stream in ("A", "VA", "VS"):
+            with pytest.raises(ValueError, match="no calibrated stream "
+                               "models.*build_world"):
+                stream_loglik(utt, world, stream)
 
 
 class TestSampleUtterance:

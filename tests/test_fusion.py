@@ -5,6 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from avfusion.core import AlignmentTarget, StreamWeights, normalize_posteriors
+from avfusion.corpus import WorldConfig, build_world, sample_utterance
+from avfusion.decode import build_decoding_graph
+from avfusion.experiment import build_training_items
 from avfusion.fusion import (
     DfnModel,
     WeightEstimator,
@@ -185,6 +188,24 @@ class TestOracleWeights:
             for (posts, align), lam in zip(cells, batch):
                 npt.assert_array_equal(
                     lam.weights, oracle_weights(posts, align, mode).weights)
+
+    def test_training_item_targets_equal_per_item_solves(self):
+        # build_training_items solves all items' oracle targets in one run
+        world = build_world(WorldConfig(vocab_size=3, states_per_word=2,
+                                        calib_frames=40,
+                                        calib_video_frames=30), 0)
+        graph = build_decoding_graph(world, 1.0)
+        utts = [sample_utterance(world, n, seed=i)
+                for i, n in enumerate((2, 3, 1, 2))]
+        items = build_training_items(world, graph, utts, [-6.0, 3.0, None],
+                                     ["white", "babble"], 0, need_oracle=True)
+        for item in items:
+            alone = oracle_weights(
+                list(item["log_posts"]),
+                AlignmentTarget(item["targets"], world.config.num_states),
+                mode="renormalized").weights
+            assert item["oracle_weights"].shape == alone.shape
+            assert item["oracle_weights"].tobytes() == alone.tobytes()
 
     def test_batch_rejects_mixed_state_counts(self):
         rng = np.random.default_rng(16)

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 import warnings
 
 import pytest
@@ -208,6 +209,25 @@ def test_dead_worker_raises_instead_of_hanging(setup, monkeypatch):
     with _deadline(120), pytest.raises(experiment.TrainingError,
                                        match=r"worker died.*seed 0"):
         _train(setup)
+
+
+@needs_fork
+def test_failure_stops_other_workers_at_once(setup, monkeypatch):
+    def train_dfn(train_items, val_items, variant, *args, **kwargs):
+        if variant == "blstm":
+            raise ValueError("boom")
+        time.sleep(30)
+        raise AssertionError("the LSTM worker was not stopped")
+
+    monkeypatch.setattr(experiment, "train_dfn", train_dfn)
+    _cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with _deadline(120), pytest.raises(
+            experiment.TrainingError,
+            match=r"dfn-blstm for seed 0 failed: ValueError: boom"):
+        _train(setup)
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
 
 
 @needs_fork
