@@ -136,25 +136,34 @@ def normalize_posteriors(raw: np.ndarray, floor: float = POSTERIOR_FLOOR) -> np.
     """Floor and renormalize a nonnegative matrix so each row is a valid
     posterior with every entry >= floor.
 
-    Iterates floor-then-rescale to a fixed point so the operation is
-    idempotent; a single pass would push floored entries fractionally
-    below the floor again during renormalization.
+    Returns the fixed point of floor-then-rescale in closed form: each row
+    is ``max(floor, c * p)`` for the row-normalized input ``p``, with ``c``
+    chosen so the row sums to 1 (water-filling). Floored entries are
+    exactly ``floor`` and the others keep their ratios, so the operation is
+    idempotent. The floored set of every row grows from the entries below
+    ``floor`` until it stops changing, which takes a few vectorized steps;
+    there is no pass cap. Non-finite, negative and all-zero rows are refused.
     """
     raw = np.asarray(raw, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(raw).all(axis=-1))
+    if bad.size:
+        raise ValueError(f"non-finite posterior row at index {bad[0]}")
     if np.any(raw < 0):
         raise ValueError("posterior matrix has negative entries")
-    sums = raw.sum(axis=-1)
+    sums = raw.sum(axis=-1, keepdims=True)
     dead = np.flatnonzero(sums <= 0)
     if dead.size:
         raise ValueError(f"all-zero posterior row at index {dead[0]}")
-    p = raw / sums[..., None]
-    for _ in range(100):
-        clipped = np.maximum(p, floor)
-        nxt = clipped / clipped.sum(axis=-1, keepdims=True)
-        if np.max(np.abs(nxt - p)) < 1e-17:
-            return nxt
-        p = nxt
-    return p
+    p = raw / sums
+    floored = p < floor
+    while True:
+        free = np.where(floored, 0.0, p)
+        scale = ((1.0 - floor * floored.sum(axis=-1, keepdims=True))
+                 / free.sum(axis=-1, keepdims=True))
+        grown = floored | (scale * p < floor)
+        if np.array_equal(grown, floored):
+            return np.where(floored, floor, scale * p)
+        floored = grown
 
 
 def write_matrix(path: str | Path, matrix: np.ndarray) -> None:

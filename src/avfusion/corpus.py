@@ -26,9 +26,9 @@ from .signal_reliability import (
     FRAME_LEN,
     FRAME_SHIFT,
     SAMPLE_RATE,
+    idct_features,
     mfcc_frames,
     snr_db_from_energies,
-    zigzag_indices,
 )
 
 VIDEO_FPS = 25
@@ -270,18 +270,6 @@ def _render_video(world: World, frame_states: np.ndarray,
     return np.clip(frames, 0.0, 1.0), vstates
 
 
-def _va_features(frames: np.ndarray, n_keep: int) -> np.ndarray:
-    """First n_keep zigzag 2-D DCT coefficients per frame, vectorized."""
-    from .signal_reliability import dct_matrix
-
-    c = dct_matrix(VIDEO_SIZE)
-    coeffs = c @ frames @ c.T
-    idx = zigzag_indices(VIDEO_SIZE, n_keep)
-    rows = [i for i, _ in idx]
-    cols = [j for _, j in idx]
-    return coeffs[:, rows, cols]
-
-
 def _vs_features(frames: np.ndarray, projection: np.ndarray) -> np.ndarray:
     return frames.reshape(frames.shape[0], -1) @ projection.T
 
@@ -313,7 +301,7 @@ def _calibrate_models(world: World, rng: np.random.Generator) -> None:
         frames = world.glyphs[state][None] + cfg.pixel_noise * \
             rng.standard_normal((cfg.calib_video_frames, VIDEO_SIZE, VIDEO_SIZE))
         frames = np.clip(frames, 0.0, 1.0)
-        va = _va_features(frames, cfg.va_obs_dim)
+        va = idct_features(frames, cfg.va_obs_dim)
         va_mu[state] = va.mean(axis=0)
         va_var[state] = va.var(axis=0)
         vs = _vs_features(frames, world.vs_projection)
@@ -479,7 +467,7 @@ def stream_loglik(utterance: Utterance, world: World, stream: str) -> np.ndarray
         feats = mfcc_frames(utterance.audio, n_keep=cfg.audio_obs_dim)
         temp = cfg.temp_a
     elif stream == "VA":
-        feats = _va_features(utterance.video, cfg.va_obs_dim)
+        feats = idct_features(utterance.video, cfg.va_obs_dim)
         temp = cfg.temp_va
     elif stream == "VS":
         feats = _vs_features(utterance.video, world.vs_projection)

@@ -94,13 +94,10 @@ def audio_signal_features(utt: Utterance, layout: ReliabilityLayout) -> dict:
 
 def video_signal_features(utt: Utterance, layout: ReliabilityLayout) -> dict:
     """Per video frame; callers upsample to the audio rate."""
-    vf = utt.num_video_frames
-    idct = np.stack([idct_features(utt.video[f], layout.n_idct)
-                     for f in range(vf)])
-    distortion = np.array([image_distortion(utt.video[f]) for f in range(vf)])
+    distortion = image_distortion(utt.video)
     return {
         "confidence": utt.confidence,
-        "idct": idct,
+        "idct": idct_features(utt.video, layout.n_idct),
         "brightness": distortion[:, 0],
         "blur": distortion[:, 1],
         "rotation": distortion[:, 2],

@@ -90,10 +90,12 @@ def temporal_divergence(
     valid = t_total - lag
     div[:valid] = kl_divergence(p[:valid], p[lag:])
     div[valid:] = div[valid - 1]
+    full = t_total - t_total % window
     pooled = np.empty_like(div)
-    for start in range(0, t_total, window):
-        seg = slice(start, min(start + window, t_total))
-        pooled[seg] = div[seg].mean()
+    pooled[:full] = np.repeat(div[:full].reshape(-1, window).mean(axis=1),
+                              window)
+    if full < t_total:
+        pooled[full:] = div[full:].mean()
     return pooled
 
 

@@ -23,6 +23,7 @@ SNR_CAP_DB = 40.0
 PITCH_FMIN = 50.0
 PITCH_FMAX = 500.0
 VOICING_F0_THRESHOLD = 0.35
+PITCH_BLOCK = 256  # frames per batched correlation, bounds its memory
 
 
 def num_frames(n_samples: int, frame_len: int = FRAME_LEN,
@@ -180,9 +181,16 @@ def pitch_nccf(waveform: np.ndarray, fs: int = SAMPLE_RATE,
     t_total = num_frames(n)
     lag_min = int(fs / PITCH_FMAX)
     lag_max = int(round(fs / PITCH_FMIN))
-    f0 = np.zeros(t_total)
-    voicing = np.zeros(t_total)
-    for t in range(t_total):
+    peak = np.zeros(t_total)
+    best_lag = np.ones(t_total)
+    # interior frames: the full window and every lag fit in the signal
+    t_full = min(max(0, (n - corr_len - lag_max) // FRAME_SHIFT + 1), t_total)
+    for lo in range(0, t_full, PITCH_BLOCK):
+        hi = min(lo + PITCH_BLOCK, t_full)
+        peak[lo:hi], best_lag[lo:hi] = _nccf_peaks(
+            x[lo * FRAME_SHIFT:], hi - lo, corr_len, lag_min, lag_max)
+    # edge frames: the lookahead runs past the signal, so truncate
+    for t in range(t_full, t_total):
         s = t * FRAME_SHIFT
         avail = n - s
         k = min(corr_len, avail - lag_max)
@@ -190,30 +198,73 @@ def pitch_nccf(waveform: np.ndarray, fs: int = SAMPLE_RATE,
             k = max(avail - lag_min - 1, 0)
             if k < 32:
                 continue
-        base = x[s:s + k]
-        e0 = float(base @ base)
-        if e0 < 1e-12:
-            continue
-        top_lag = min(lag_max, avail - k)
-        seg = x[s:s + k + top_lag]
-        corr = np.correlate(seg, base, mode="valid")  # lag 0 .. top_lag
-        csum = np.concatenate(([0.0], np.cumsum(seg * seg)))
-        lag_energy = csum[k:] - csum[:-k]  # energy of seg[lag:lag+k]
-        lags = np.arange(lag_min, top_lag + 1)
-        if lags.size == 0:
-            continue
-        nccf = corr[lags] / np.sqrt(e0 * np.maximum(lag_energy[lags], 1e-300))
-        best = int(np.argmax(nccf))
-        voicing[t] = float(np.clip(nccf[best], 0.0, 1.0))
-        if voicing[t] >= VOICING_F0_THRESHOLD:
-            f0[t] = fs / float(lags[best])
+        peak[t:t + 1], best_lag[t:t + 1] = _nccf_peaks(
+            x[s:], 1, k, lag_min, min(lag_max, avail - k))
+    voicing = np.clip(peak, 0.0, 1.0)
+    f0 = np.where(voicing >= VOICING_F0_THRESHOLD, fs / best_lag, 0.0)
     return f0, voicing
 
 
+def _window_sums(v: np.ndarray, k: int) -> np.ndarray:
+    """``out[i] = v[i:i + k].sum()`` for every full window of ``v``.
+
+    Built by doubling (widths 1, 2, 4, ... added by the bits of k), so each
+    sum of nonnegative terms is accurate to a few ulps relative to itself,
+    and a window of zeros sums to exactly 0.
+    """
+    n_out = v.shape[0] - k + 1
+    total = np.zeros(n_out)
+    level, width, offset = v, 1, 0
+    while True:
+        if k & width:
+            total += level[offset:offset + n_out]
+            offset += width
+        if 2 * width > k:
+            return total
+        level = level[:-width] + level[width:]
+        width *= 2
+
+
+def _nccf_peaks(x: np.ndarray, frames: int, k: int, lag_min: int,
+                lag_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Peak NCCF over lags lag_min..lag_max, and the lag that attains it, for
+    ``frames`` frames of ``x`` FRAME_SHIFT apart, the first at sample 0.
+
+    A frame correlates its first k samples with the k samples ``lag`` later.
+    The correlations come from batched rffts of each frame's k + lag_max
+    samples and of its first k, zero-padded to that length, so no lag wraps
+    around. Frames of near-zero energy give peak 0, and a lag whose window
+    holds only zeros scores exactly 0, as a direct sum would.
+    """
+    seg_len = k + lag_max
+    span = (frames - 1) * FRAME_SHIFT + seg_len
+    segs = np.lib.stride_tricks.sliding_window_view(x[:span], seg_len)
+    segs = segs[::FRAME_SHIFT]
+    padded = np.zeros((frames, seg_len))
+    padded[:, :k] = segs[:, :k]
+    spec = np.fft.rfft(padded, axis=-1)
+    np.conjugate(spec, out=spec)
+    spec *= np.fft.rfft(segs, axis=-1)
+    corr = np.fft.irfft(spec, n=seg_len, axis=-1)[:, lag_min:lag_max + 1]
+    energy = _window_sums(x[:span] * x[:span], k)
+    e0 = energy[:span - seg_len + 1:FRAME_SHIFT].copy()
+    lag_energy = np.lib.stride_tricks.sliding_window_view(
+        energy[lag_min:], lag_max - lag_min + 1)[::FRAME_SHIFT]
+    silent = e0 < 1e-12
+    e0[silent] = 1.0
+    corr[lag_energy <= 0.0] = 0.0
+    corr /= np.sqrt(e0[:, None] * np.maximum(lag_energy, 1e-300))
+    best = np.argmax(corr, axis=-1)
+    peak = corr[np.arange(frames), best]
+    peak[silent] = 0.0
+    return peak, (best + lag_min).astype(np.float64)
+
+
 def dct2(image: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of a grayscale image."""
+    """Orthonormal 2-D DCT-II of a grayscale image, or of each image in a
+    stack (leading axes)."""
     img = np.asarray(image, dtype=np.float64)
-    return dct_matrix(img.shape[0]) @ img @ dct_matrix(img.shape[1]).T
+    return dct_matrix(img.shape[-2]) @ img @ dct_matrix(img.shape[-1]).T
 
 
 def zigzag_indices(n: int, count: int) -> list[tuple[int, int]]:
@@ -229,35 +280,52 @@ def zigzag_indices(n: int, count: int) -> list[tuple[int, int]]:
     return out
 
 
-def idct_features(frame: np.ndarray, n_keep: int = 5) -> np.ndarray:
-    """First ``n_keep`` 2-D DCT coefficients of a 32x32 frame, zigzag order."""
-    img = np.asarray(frame, dtype=np.float64)
-    if img.shape != (32, 32):
-        raise ValueError(f"expected a 32x32 frame, got {img.shape}")
-    coeffs = dct2(img)
-    idx = zigzag_indices(32, n_keep)
-    return np.array([coeffs[i, j] for i, j in idx])
+@functools.lru_cache(maxsize=None)
+def zigzag_arrays(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``zigzag_indices`` as (rows, cols) index arrays.
+
+    Memoised; the returned arrays are shared and read-only."""
+    rows, cols = (np.array(a, dtype=np.intp)
+                  for a in zip(*zigzag_indices(n, count)))
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
-def image_distortion(frame: np.ndarray) -> tuple[float, float, float]:
-    """(brightness, blur, rotation) distortion indicators for one frame.
+def idct_features(frames: np.ndarray, n_keep: int = 5) -> np.ndarray:
+    """First ``n_keep`` 2-D DCT coefficients of a 32x32 frame, zigzag order.
+
+    ``frames`` is one frame or a stack of them (..., 32, 32); the result
+    has shape (..., n_keep)."""
+    img = np.asarray(frames, dtype=np.float64)
+    if img.shape[-2:] != (32, 32):
+        raise ValueError(f"expected 32x32 frames, got {img.shape}")
+    rows, cols = zigzag_arrays(32, n_keep)
+    return dct2(img)[..., rows, cols]
+
+
+def image_distortion(frames: np.ndarray) -> np.ndarray:
+    """(brightness, blur, rotation) distortion indicators of a frame, or of
+    each frame in a stack; the result has shape (..., 3).
 
     brightness is the pixel mean, blur the variance of the 3x3 Laplacian
     response, and rotation the normalized cross-correlation between the
     frame and its horizontal mirror (1 for a constant frame).
     """
-    img = np.asarray(frame, dtype=np.float64)
-    brightness = float(img.mean())
-    lap = (-4.0 * img[1:-1, 1:-1] + img[:-2, 1:-1] + img[2:, 1:-1]
-           + img[1:-1, :-2] + img[1:-1, 2:])
-    blur = float(lap.var())
-    centered = img - img.mean()
-    denom = float(np.sum(centered * centered))
-    if denom < 1e-30:
-        rotation = 1.0
-    else:
-        rotation = float(np.sum(centered * centered[:, ::-1]) / denom)
-    return brightness, blur, rotation
+    img = np.asarray(frames, dtype=np.float64)
+    axes = (-2, -1)
+    brightness = img.mean(axis=axes)
+    lap = (-4.0 * img[..., 1:-1, 1:-1] + img[..., :-2, 1:-1]
+           + img[..., 2:, 1:-1] + img[..., 1:-1, :-2] + img[..., 1:-1, 2:])
+    blur = lap.var(axis=axes)
+    centered = img - brightness[..., None, None]
+    denom = np.sum(centered * centered, axis=axes)
+    flat = denom < 1e-30
+    rotation = np.where(
+        flat, 1.0,
+        np.sum(centered * centered[..., ::-1], axis=axes)
+        / np.where(flat, 1.0, denom))
+    return np.stack([brightness, blur, rotation], axis=-1)
 
 
 @dataclass(frozen=True)

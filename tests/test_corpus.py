@@ -14,7 +14,6 @@ from avfusion.corpus import (
     VideoDistortion,
     World,
     WorldConfig,
-    _va_features,
     apply_video_distortion,
     build_world,
     compute_joint_posteriors,
@@ -31,7 +30,7 @@ from avfusion.corpus import (
 )
 from avfusion.decode import build_decoding_graph, viterbi_decode, wer, pool_reports
 from avfusion.model_reliability import entropy
-from avfusion.signal_reliability import dct_matrix, zigzag_indices
+from avfusion.signal_reliability import dct_matrix, idct_features, zigzag_indices
 
 
 class TestBuildWorld:
@@ -287,7 +286,7 @@ def test_va_features_match_einsum_form():
     c = dct_matrix(VIDEO_SIZE)
     coeffs = np.einsum("ij,fjk,lk->fil", c, frames, c)
     rows, cols = zip(*zigzag_indices(VIDEO_SIZE, 24))
-    npt.assert_allclose(_va_features(frames, 24),
+    npt.assert_allclose(idct_features(frames, 24),
                         coeffs[:, list(rows), list(cols)], rtol=0.0,
                         atol=1e-12)
 

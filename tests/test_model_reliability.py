@@ -143,6 +143,22 @@ class TestTemporalDivergence:
             seg = slice(start, min(start + 5, 60))
             npt.assert_allclose(div[seg], full[seg].mean(), rtol=1e-10)
 
+    @pytest.mark.parametrize("lag,window", [(25, 5), (3, 7)])
+    @pytest.mark.parametrize("t_total", [26, 30, 60, 63, 101])
+    def test_matches_per_window_loop(self, t_total, lag, window):
+        # the pooling as it stood before it was reshaped: one mean per window
+        p = floored_rows(np.random.default_rng(t_total), t_total, 7)
+        div = np.empty(t_total)
+        valid = t_total - lag
+        div[:valid] = kl_divergence(p[:valid], p[lag:])
+        div[valid:] = div[valid - 1]
+        want = np.empty_like(div)
+        for start in range(0, t_total, window):
+            seg = slice(start, min(start + window, t_total))
+            want[seg] = div[seg].mean()
+        got = temporal_divergence(p, lag_s=lag * 0.01, window_s=window * 0.01)
+        npt.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
     def test_short_sequence_warns_and_zeroes(self):
         p = floored_rows(np.random.default_rng(52), 10, 4)
         with pytest.warns(UserWarning, match="frames apart"):

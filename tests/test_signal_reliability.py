@@ -8,8 +8,12 @@ from avfusion.corpus import WorldConfig, build_world, mix_noise, sample_utteranc
 from avfusion.signal_reliability import (
     FRAME_LEN,
     FRAME_SHIFT,
+    PITCH_BLOCK,
+    PITCH_FMAX,
+    PITCH_FMIN,
     SAMPLE_RATE,
     SNR_CAP_DB,
+    VOICING_F0_THRESHOLD,
     ReliabilityLayout,
     N_FFT,
     assemble_reliability_vector,
@@ -25,6 +29,7 @@ from avfusion.signal_reliability import (
     num_frames,
     pitch_nccf,
     snr_db_from_energies,
+    zigzag_arrays,
     zigzag_indices,
 )
 
@@ -181,6 +186,114 @@ class TestPitch:
             assert np.all(voicing <= 1.0)
 
 
+def _pitch_by_frames(waveform, fs=SAMPLE_RATE, corr_len=FRAME_LEN):
+    """pitch_nccf as it stood before it was batched: one direct correlation
+    per frame. Also returns each frame's NCCF over its lags (None when the
+    frame is skipped) and the first lag of that array."""
+    x = np.asarray(waveform, dtype=np.float64)
+    n = x.shape[0]
+    t_total = num_frames(n)
+    lag_min = int(fs / PITCH_FMAX)
+    lag_max = int(round(fs / PITCH_FMIN))
+    f0 = np.zeros(t_total)
+    voicing = np.zeros(t_total)
+    curves = [None] * t_total
+    for t in range(t_total):
+        s = t * FRAME_SHIFT
+        avail = n - s
+        k = min(corr_len, avail - lag_max)
+        if k < 32:
+            k = max(avail - lag_min - 1, 0)
+            if k < 32:
+                continue
+        base = x[s:s + k]
+        e0 = float(base @ base)
+        if e0 < 1e-12:
+            continue
+        top_lag = min(lag_max, avail - k)
+        seg = x[s:s + k + top_lag]
+        corr = np.correlate(seg, base, mode="valid")  # lag 0 .. top_lag
+        csum = np.concatenate(([0.0], np.cumsum(seg * seg)))
+        lag_energy = csum[k:] - csum[:-k]  # energy of seg[lag:lag+k]
+        lags = np.arange(lag_min, top_lag + 1)
+        if lags.size == 0:
+            continue
+        nccf = corr[lags] / np.sqrt(e0 * np.maximum(lag_energy[lags], 1e-300))
+        curves[t] = nccf
+        best = int(np.argmax(nccf))
+        voicing[t] = float(np.clip(nccf[best], 0.0, 1.0))
+        if voicing[t] >= VOICING_F0_THRESHOLD:
+            f0[t] = fs / float(lags[best])
+    return f0, voicing, curves, lag_min
+
+
+def _sawtooth(freq, n=SAMPLE_RATE):
+    t = np.arange(n) / SAMPLE_RATE
+    return 2.0 * (t * freq - np.floor(t * freq + 0.5))
+
+
+class TestPitchMatchesFrameLoop:
+    """The batched pitch tracker against the per-frame definition: voicing
+    within 1e-12 and f0 equal."""
+
+    def _check(self, x, ties_allowed=False):
+        f0, voicing = pitch_nccf(x)
+        want_f0, want_voicing, curves, lag_min = _pitch_by_frames(x)
+        npt.assert_allclose(voicing, want_voicing, rtol=0.0, atol=1e-12)
+        differ = np.flatnonzero(f0 != want_f0)
+        if not ties_allowed:
+            npt.assert_array_equal(f0, want_f0)
+        for t in differ:
+            # the chosen lag scores the reference's peak up to rounding
+            lag = int(round(SAMPLE_RATE / f0[t]))
+            npt.assert_allclose(curves[t][lag - lag_min], curves[t].max(),
+                                rtol=0.0, atol=1e-12)
+        return f0, voicing
+
+    @pytest.mark.parametrize("kind", [None, "white", "babble"])
+    @pytest.mark.parametrize("snr", [-9.0, 9.0])
+    def test_corpus_audio(self, kind, snr):
+        world = build_world(WorldConfig(vocab_size=6), seed=4)
+        for seed in range(4):
+            utt = sample_utterance(world, 4, seed=seed)
+            if kind is not None:
+                utt = mix_noise(utt, kind, snr, seed=seed)
+            self._check(utt.audio)
+
+    def test_sawtooth_off_the_sample_grid(self):
+        f0, _ = self._check(_sawtooth(110.0))
+        assert np.all(f0 > 0)
+
+    def test_sawtooth_with_whole_sample_period(self):
+        # lags 160 and 320 fit whole periods, so their NCCFs tie up to
+        # rounding and either version may report 50 Hz on some frames
+        self._check(_sawtooth(100.0), ties_allowed=True)
+
+    def test_silence(self):
+        _, voicing = self._check(np.zeros(SAMPLE_RATE // 4))
+        npt.assert_array_equal(voicing, 0.0)
+
+    def test_exact_zeros_after_a_tone(self):
+        x = _sawtooth(130.0, 6000)
+        x[3000:] = 0.0
+        _, voicing = self._check(x)
+        silent = FRAME_SHIFT * np.arange(voicing.shape[0]) >= 3000
+        npt.assert_array_equal(voicing[silent], 0.0)
+
+    @pytest.mark.parametrize("n", [FRAME_LEN, 500, 650, 719, 720, 721, 900])
+    def test_short_signals_through_the_edge_path(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sin(0.05 * np.arange(n)) + 0.1 * rng.standard_normal(n)
+        self._check(x)
+
+    def test_several_frame_blocks(self):
+        n = FRAME_SHIFT * (2 * PITCH_BLOCK + 10) + FRAME_LEN
+        rng = np.random.default_rng(44)
+        x = _sawtooth(143.0, n) + 0.3 * rng.standard_normal(n)
+        f0, _ = self._check(x)
+        assert f0.shape == (num_frames(n),)
+
+
 class TestCachedMatrices:
     """dct_matrix and mel_filterbank are memoised and shared read-only."""
 
@@ -213,6 +326,13 @@ class TestCachedMatrices:
         assert got.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             got[0, 0] = 1.0
+
+    def test_zigzag_arrays_are_the_indices_and_read_only(self):
+        rows, cols = zigzag_arrays(32, 24)
+        assert zigzag_arrays(32, 24)[0] is rows
+        assert list(zip(rows.tolist(), cols.tolist())) == zigzag_indices(32, 24)
+        with pytest.raises(ValueError):
+            rows[0] = 1
 
 
 class TestImageFeatures:
@@ -273,6 +393,59 @@ class TestImageFeatures:
         img = (np.indices((32, 32)).sum(axis=0) % 2).astype(float)
         _, blur, _ = image_distortion(img)
         npt.assert_allclose(blur, 16.0, rtol=1e-12)
+
+
+def _distortion_of_frame(frame):
+    """image_distortion as it stood before it took stacks of frames."""
+    img = np.asarray(frame, dtype=np.float64)
+    brightness = float(img.mean())
+    lap = (-4.0 * img[1:-1, 1:-1] + img[:-2, 1:-1] + img[2:, 1:-1]
+           + img[1:-1, :-2] + img[1:-1, 2:])
+    blur = float(lap.var())
+    centered = img - img.mean()
+    denom = float(np.sum(centered * centered))
+    if denom < 1e-30:
+        rotation = 1.0
+    else:
+        rotation = float(np.sum(centered * centered[:, ::-1]) / denom)
+    return brightness, blur, rotation
+
+
+def _idct_of_frame(frame, n_keep):
+    """idct_features as it stood before it took stacks of frames."""
+    coeffs = dct_matrix(32) @ frame @ dct_matrix(32).T
+    return np.array([coeffs[i, j] for i, j in zigzag_indices(32, n_keep)])
+
+
+class TestVideoFeaturesMatchFrameLoop:
+    """Stacked video features against the per-frame definitions, 1e-12."""
+
+    def _frames(self):
+        world = build_world(WorldConfig(vocab_size=4), seed=2)
+        frames = sample_utterance(world, 3, seed=9).video
+        return np.concatenate([frames, np.full((1, 32, 32), 0.3)])
+
+    def test_idct_features(self):
+        frames = self._frames()
+        for n_keep in (1, 5, 24):
+            got = idct_features(frames, n_keep)
+            assert got.shape == (frames.shape[0], n_keep)
+            want = np.stack([_idct_of_frame(f, n_keep) for f in frames])
+            npt.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_image_distortion(self):
+        frames = self._frames()
+        got = image_distortion(frames)
+        want = np.array([_distortion_of_frame(f) for f in frames])
+        npt.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert got[-1, 2] == 1.0  # the constant frame
+
+    def test_one_frame_is_a_stack_of_one(self):
+        frame = self._frames()[0]
+        npt.assert_array_equal(image_distortion(frame),
+                               image_distortion(frame[None])[0])
+        npt.assert_array_equal(idct_features(frame),
+                               idct_features(frame[None])[0])
 
 
 class TestReliabilityLayout:
