@@ -200,12 +200,6 @@ def _cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
     seed = int(cfg["seeds"][0])
-    if args.snr_grid is not None:
-        try:
-            cfg["snr_grid"] = [float(x) for x in args.snr_grid.split(",")]
-        except ValueError:
-            raise ConfigError(f"--snr-grid must be comma-separated numbers, "
-                              f"got {args.snr_grid!r}")
     world = _world_for_seed(cfg, seed, calibrated=False)
     utts = test_split(cfg, world)
     conditions = [float(s) for s in cfg["snr_grid"]] + [None]
@@ -490,8 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[common],
                        help="materialize the corpus: audio, video, "
                             "alignments, manifest")
-    p.add_argument("--snr-grid", help="comma-separated SNR list overriding "
-                   "the config grid")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", parents=[common],

@@ -22,7 +22,6 @@ AVPF_MAGIC = b"AVPF"
 AVPF_VERSION = 1
 
 STREAMS = ("A", "VA", "VS")
-NUM_STREAMS = len(STREAMS)
 
 
 class FormatError(ValueError):
@@ -55,7 +54,6 @@ class PosteriorSequence:
 
     stream: str
     frames: np.ndarray  # T x S, float64, rows sum to 1
-    frame_shift: float = 0.01
 
     def __post_init__(self):
         if self.stream not in STREAMS:

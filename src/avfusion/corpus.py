@@ -26,6 +26,7 @@ from .signal_reliability import (
     FRAME_LEN,
     FRAME_SHIFT,
     SAMPLE_RATE,
+    frame_energy,
     idct_features,
     mfcc_frames,
     snr_db_from_energies,
@@ -91,13 +92,6 @@ class World:
     vs_projection: np.ndarray  # (vs_obs_dim, 1024)
     obs_means: dict[str, np.ndarray] = field(default_factory=dict)
     obs_vars: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def words_of_state(self) -> np.ndarray:
-        """Word index owning each state."""
-        out = np.empty(self.config.num_states, dtype=int)
-        for w, states in enumerate(self.lexicon.values()):
-            out[states] = w
-        return out
 
     def to_manifest(self) -> dict:
         return {
@@ -383,16 +377,9 @@ def mix_noise(utterance: Utterance, noise_kind: str, snr_db: float | None,
     noise_power = float(np.mean(noise ** 2))
     scale = math.sqrt(sig_power / (noise_power * 10.0 ** (snr_db / 10.0)))
     noise = noise * scale
-    frames = utterance.num_audio_frames
-    track = snr_db_from_energies(
-        _frame_energies(clean, frames), _frame_energies(noise, frames))
+    track = snr_db_from_energies(frame_energy(clean), frame_energy(noise))
     return replace(utterance, audio=clean + noise, noise_component=noise,
                    snr_db=float(snr_db), noise_kind=noise_kind, true_snr=track)
-
-
-def _frame_energies(x: np.ndarray, t_frames: int) -> np.ndarray:
-    idx = np.arange(FRAME_LEN)[None, :] + FRAME_SHIFT * np.arange(t_frames)[:, None]
-    return np.sum(x[idx] ** 2, axis=-1)
 
 
 def _box_blur(img: np.ndarray, width: int) -> np.ndarray:

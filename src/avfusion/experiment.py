@@ -56,8 +56,6 @@ from .fusion import (
 from .model_reliability import dispersion_ratio, entropy_ratio, stream_measures
 from .nn import TrainConfig
 from .signal_reliability import (
-    ReliabilityLayout,
-    assemble_reliability_vector,
     delta,
     idct_features,
     image_distortion,
@@ -73,67 +71,57 @@ SINGLE_STREAM_STRATEGIES = ("ao", "va", "vs")
 ALL_STRATEGIES = ("ao", "va", "vs", "early", "static", "dsw-mse", "dsw-ce",
                   "oracle", "dfn-lstm", "dfn-blstm")
 TRAINED_STRATEGIES = ("dsw-mse", "dsw-ce", "dfn-lstm", "dfn-blstm")
+N_MFCC = 5  # MFCCs in the reliability vector, and as many deltas
+N_IDCT = 5  # zigzag 2-D DCT coefficients of each video frame
 
 
 def condition_label(snr_db: float | None) -> str:
     return "clean" if snr_db is None else f"{snr_db:g}"
 
 
-def audio_signal_features(utt: Utterance, layout: ReliabilityLayout) -> dict:
-    mfcc = mfcc_frames(utt.audio, n_keep=layout.n_mfcc)
+def audio_signal_features(utt: Utterance) -> np.ndarray:
+    """(T, 14): MFCC x5, delta MFCC x5, SNR, f0, delta f0, voicing."""
+    mfcc = mfcc_frames(utt.audio, n_keep=N_MFCC)
     f0, voicing = pitch_nccf(utt.audio)
-    return {
-        "mfcc": mfcc,
-        "delta_mfcc": delta(mfcc),
-        "snr": utt.true_snr,
-        "f0": f0,
-        "delta_f0": delta(f0),
-        "voicing": voicing,
-    }
+    return np.column_stack([mfcc, delta(mfcc), utt.true_snr, f0, delta(f0),
+                            voicing])
 
 
-def video_signal_features(utt: Utterance, layout: ReliabilityLayout) -> dict:
-    """Per video frame; callers upsample to the audio rate."""
-    distortion = image_distortion(utt.video)
-    return {
-        "confidence": utt.confidence,
-        "idct": idct_features(utt.video, layout.n_idct),
-        "brightness": distortion[:, 0],
-        "blur": distortion[:, 1],
-        "rotation": distortion[:, 2],
-    }
+def video_signal_features(utt: Utterance) -> np.ndarray:
+    """(Vf, 9) per video frame: tracker confidence, IDCT x5, brightness,
+    blur, rotation; callers upsample to the audio rate."""
+    return np.column_stack([utt.confidence,
+                            idct_features(utt.video, N_IDCT),
+                            image_distortion(utt.video)])
 
 
-def model_based_features(posts: dict[str, PosteriorSequence]) -> dict:
-    """Six measures per stream; the two ratio measures compare streams."""
-    per_stream = {s: stream_measures(posts[s].frames) for s in STREAMS}
-    entropies = np.stack([per_stream[s]["entropy"] for s in STREAMS], axis=1)
-    dispersions = np.stack([per_stream[s]["dispersion"] for s in STREAMS],
-                           axis=1)
-    ent_ratio = entropy_ratio(entropies)
-    disp_ratio = dispersion_ratio(dispersions)
-    for i, s in enumerate(STREAMS):
-        per_stream[s]["entropy_ratio"] = ent_ratio[:, i]
-        per_stream[s]["dispersion_ratio"] = disp_ratio[:, i]
-    return per_stream
+def model_based_features(posts: dict[str, PosteriorSequence]) -> np.ndarray:
+    """(T, 18): six measures per stream, stream-major in STREAMS order --
+    entropy, dispersion, posterior difference, temporal divergence, and
+    the entropy and dispersion ratios, which compare the streams."""
+    per_stream = [stream_measures(posts[s].frames) for s in STREAMS]
+    ent_ratio = entropy_ratio(
+        np.stack([m["entropy"] for m in per_stream], axis=1))
+    disp_ratio = dispersion_ratio(
+        np.stack([m["dispersion"] for m in per_stream], axis=1))
+    return np.column_stack([
+        col for i, m in enumerate(per_stream)
+        for col in (m["entropy"], m["dispersion"], m["posterior_difference"],
+                    m["temporal_divergence"], ent_ratio[:, i],
+                    disp_ratio[:, i])])
 
 
 def reliability_features(utt: Utterance, posts: dict[str, PosteriorSequence],
-                         layout: ReliabilityLayout | None = None,
-                         video_feats: dict | None = None) -> np.ndarray:
-    """The full per-frame reliability vector at the audio rate."""
-    layout = layout or ReliabilityLayout()
+                         video_feats: np.ndarray | None = None) -> np.ndarray:
+    """The (T, 41) per-frame reliability vector at the audio rate: the
+    model-based, audio and video blocks side by side, the video block
+    (``video_signal_features``) repeated up to the audio rate."""
     if video_feats is None:
-        video_feats = video_signal_features(utt, layout)
+        video_feats = video_signal_features(utt)
     frame_map = bresenham_map(utt.num_audio_frames, utt.num_video_frames)
-    upsampled = {name: align_stream(np.asarray(v), frame_map)
-                 for name, v in video_feats.items()}
-    return assemble_reliability_vector(
-        model_based_features(posts),
-        audio_signal_features(utt, layout),
-        upsampled,
-        layout,
-    )
+    return np.concatenate([model_based_features(posts),
+                           audio_signal_features(utt),
+                           align_stream(video_feats, frame_map)], axis=1)
 
 
 def stream_posterior_set(utt: Utterance, world: World,
@@ -185,13 +173,14 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
 def build_training_items(world: World, graph: DecodingGraph,
                          utts: list[Utterance], conditions: list,
                          kinds: list[str], seed: int,
-                         need_oracle: bool) -> list[dict]:
+                         oracle_mode: str | None) -> list[dict]:
     """One training item per utterance, cycling noise conditions and kinds.
 
     Targets come from forced alignment of the clean audio posteriors, per
-    the training recipe; the generator's own alignment is withheld.
+    the training recipe; the generator's own alignment is withheld. Each
+    item also carries its oracle weights in ``oracle_mode`` unless that is
+    None.
     """
-    layout = ReliabilityLayout()
     items, alignments = [], []
     for idx, utt in enumerate(utts):
         cond = conditions[idx % len(conditions)]
@@ -200,7 +189,7 @@ def build_training_items(world: World, graph: DecodingGraph,
         target = forced_align(utt.words, np.log(clean_posts_a.frames), graph)
         noisy = mix_noise(utt, kind, cond, seed=seed * 7919 + idx)
         posts = stream_posterior_set(noisy, world)
-        rel = reliability_features(noisy, posts, layout)
+        rel = reliability_features(noisy, posts)
         logs = np.stack([np.log(posts[s].frames) for s in STREAMS])
         items.append({
             "utt_id": utt.utt_id,
@@ -210,11 +199,11 @@ def build_training_items(world: World, graph: DecodingGraph,
             "targets": target.states,
         })
         alignments.append(target)
-    if need_oracle:
+    if oracle_mode is not None:
         # one solver run for all items: each frame is solved on its own,
         # so the weights are those of per-item runs
         solved = oracle_weights_batch([list(it["log_posts"]) for it in items],
-                                      alignments, mode="renormalized")
+                                      alignments, mode=oracle_mode)
         for item, weights in zip(items, solved):
             item["oracle_weights"] = weights.weights
     return items
@@ -335,11 +324,12 @@ def train_strategy_models(cfg: dict, world: World, graph: DecodingGraph,
                              c["min_words"], c["max_words"])
     conditions = [float(s) for s in cfg["snr_grid"]] + [None]
     kinds = list(cfg["noise_kinds"])
-    need_oracle = "dsw-mse" in needed
+    # dsw-mse regresses on the oracle weights it is scored beside
+    oracle_mode = cfg["oracle_mode"] if "dsw-mse" in needed else None
     train_items = build_training_items(world, graph, train_utts, conditions,
-                                       kinds, seed, need_oracle)
+                                       kinds, seed, oracle_mode)
     val_items = build_training_items(world, graph, val_utts, conditions,
-                                     kinds, seed + 1, need_oracle)
+                                     kinds, seed + 1, oracle_mode)
     job = (cfg, seed, world.config.num_states,
            train_items[0]["reliability"].shape[1], train_items, val_items)
     trained = _train_all(job, needed)
@@ -372,15 +362,14 @@ def _map_ordered(fn, items, threads: int) -> list:
 
 
 def video_cache(world: World, utts: list[Utterance],
-                threads: int = 1) -> list[tuple[dict, dict]]:
+                threads: int = 1) -> list[tuple[dict, np.ndarray]]:
     """Per test utterance, what no audio condition changes: its VA and VS
     posteriors and its video signal features."""
-    layout = ReliabilityLayout()
 
-    def one(utt: Utterance) -> tuple[dict, dict]:
+    def one(utt: Utterance) -> tuple[dict, np.ndarray]:
         posts = {s: compute_stream_posteriors(utt, world, s)
                  for s in ("VA", "VS")}
-        return posts, video_signal_features(utt, layout)
+        return posts, video_signal_features(utt)
 
     return _map_ordered(one, utts, threads)
 
@@ -402,14 +391,13 @@ def condition_cells(world: World, utts: list[Utterance], cache: list,
     ``cache`` is ``video_cache`` of the same utterances; ``threads`` maps
     the utterances over a thread pool without changing the cells.
     """
-    layout = ReliabilityLayout()
 
     def one(idx: int) -> Cell:
         cached_posts, video_feats = cache[idx]
         noisy = mix_test_noise(utts[idx], cond, kinds, seed, idx)
         posts = stream_posterior_set(noisy, world, cached_posts)
         logs = [np.log(posts[s].frames) for s in STREAMS]
-        rel = reliability_features(noisy, posts, layout, video_feats)
+        rel = reliability_features(noisy, posts, video_feats)
         return Cell(noisy, posts, logs, rel)
 
     return _map_ordered(one, range(len(utts)), threads)

@@ -128,12 +128,11 @@ def dispersion_ratio(dispersions: np.ndarray) -> np.ndarray:
     return out if np.asarray(dispersions).ndim > 1 else out[0]
 
 
-def stream_measures(posteriors: np.ndarray, frame_shift: float = 0.01,
-                    k: int = DISPERSION_K) -> dict[str, np.ndarray]:
+def stream_measures(posteriors: np.ndarray) -> dict[str, np.ndarray]:
     """All single-stream measures for one posterior sequence (T vectors)."""
     return {
         "entropy": entropy(posteriors),
-        "dispersion": dispersion(posteriors, k),
-        "posterior_difference": posterior_difference(posteriors, k),
-        "temporal_divergence": temporal_divergence(posteriors, frame_shift),
+        "dispersion": dispersion(posteriors),
+        "posterior_difference": posterior_difference(posteriors),
+        "temporal_divergence": temporal_divergence(posteriors),
     }

@@ -14,7 +14,6 @@ from .layers import (
     LogSoftmax,
     Network,
     ReLU,
-    Tanh,
     build_network,
     glorot,
     load_checkpoint,
@@ -27,7 +26,7 @@ from .gradcheck import max_relative_error, numerical_gradient, check_gradients
 
 __all__ = [
     "Adam", "BLSTM", "Dense", "Dropout", "LayerNorm", "LogSoftmax",
-    "Network", "ReLU", "Tanh", "TrainConfig", "adam_step", "build_network",
+    "Network", "ReLU", "TrainConfig", "adam_step", "build_network",
     "ce_loss", "check_gradients", "glorot", "load_checkpoint",
     "max_relative_error", "mse_loss", "numerical_gradient", "pad_batch",
     "save_checkpoint", "train",

@@ -1,4 +1,4 @@
-"""Layer zoo: dense, relu, tanh, layer norm, dropout, LSTM, BLSTM, log-softmax.
+"""Layer zoo: dense, relu, layer norm, dropout, LSTM, BLSTM, log-softmax.
 
 Inputs are (B, T, D) float64 arrays with an optional (B, T) mask of 0/1.
 Recurrent layers gate their state updates with the mask, so right-padded
@@ -97,20 +97,6 @@ class ReLU(Layer):
 
     def spec(self):
         return {"kind": "relu"}
-
-
-class Tanh(Layer):
-    def forward(self, x, mask=None, train=False):
-        out = np.tanh(x)
-        self._cache = out
-        return out
-
-    def backward(self, dout):
-        self._need_cache()
-        return dout * (1.0 - self._cache ** 2)
-
-    def spec(self):
-        return {"kind": "tanh"}
 
 
 class LayerNorm(Layer):
@@ -403,8 +389,6 @@ def build_network(specs: list[dict], rng: np.random.Generator | int = 0) -> Netw
             layers.append(Dense(spec["in"], spec["out"], rng))
         elif kind == "relu":
             layers.append(ReLU())
-        elif kind == "tanh":
-            layers.append(Tanh())
         elif kind == "layer_norm":
             layers.append(LayerNorm(spec["dim"]))
         elif kind == "dropout":

@@ -9,7 +9,6 @@ only claimed accurate for stationary noise.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,7 +116,8 @@ def delta(features: np.ndarray, window: int = 2) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def _frame_energy(x: np.ndarray) -> np.ndarray:
+def frame_energy(x: np.ndarray) -> np.ndarray:
+    """Sum of squares of each 25 ms frame of a signal."""
     return np.sum(_frame_signal(np.asarray(x, dtype=np.float64)) ** 2, axis=-1)
 
 
@@ -138,7 +138,7 @@ def frame_snr(utterance) -> np.ndarray:
     noise = getattr(utterance, "noise_component", None)
     if noise is None:
         return np.full(num_frames(clean.shape[0]), SNR_CAP_DB)
-    return snr_db_from_energies(_frame_energy(clean), _frame_energy(noise))
+    return snr_db_from_energies(frame_energy(clean), frame_energy(noise))
 
 
 def estimate_frame_snr(noisy: np.ndarray, smoothing: float = 0.92,
@@ -326,96 +326,3 @@ def image_distortion(frames: np.ndarray) -> np.ndarray:
         np.sum(centered * centered[..., ::-1], axis=axes)
         / np.where(flat, 1.0, denom))
     return np.stack([brightness, blur, rotation], axis=-1)
-
-
-@dataclass(frozen=True)
-class ReliabilityLayout:
-    """Fixed, named layout of the per-frame reliability vector.
-
-    Three blocks: six model-based measures per stream, audio signal
-    features, and video signal features shared by both video streams. The
-    default configuration spans 41 dimensions.
-    """
-
-    streams: tuple[str, ...] = ("A", "VA", "VS")
-    model_fields: tuple[str, ...] = (
-        "entropy", "dispersion", "posterior_difference",
-        "temporal_divergence", "entropy_ratio", "dispersion_ratio",
-    )
-    n_mfcc: int = 5
-    n_idct: int = 5
-    _slices: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        pos = 0
-        slices: dict[str, slice] = {}
-        for stream in self.streams:
-            for name in self.model_fields:
-                slices[f"{stream}.{name}"] = slice(pos, pos + 1)
-                pos += 1
-        for name, width in self._audio_fields():
-            slices[f"audio.{name}"] = slice(pos, pos + width)
-            pos += width
-        for name, width in self._video_fields():
-            slices[f"video.{name}"] = slice(pos, pos + width)
-            pos += width
-        object.__setattr__(self, "_slices", slices)
-        object.__setattr__(self, "dim", pos)
-
-    def _audio_fields(self) -> list[tuple[str, int]]:
-        return [("mfcc", self.n_mfcc), ("delta_mfcc", self.n_mfcc),
-                ("snr", 1), ("f0", 1), ("delta_f0", 1), ("voicing", 1)]
-
-    def _video_fields(self) -> list[tuple[str, int]]:
-        return [("confidence", 1), ("idct", self.n_idct),
-                ("brightness", 1), ("blur", 1), ("rotation", 1)]
-
-    def slice_of(self, name: str) -> slice:
-        return self._slices[name]
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._slices)
-
-
-def assemble_reliability_vector(
-    model_feats: dict[str, dict[str, np.ndarray]],
-    audio_feats: dict[str, np.ndarray],
-    video_feats: dict[str, np.ndarray],
-    layout: ReliabilityLayout | None = None,
-) -> np.ndarray:
-    """Stack per-frame constituents into the fixed layout, shape (T, layout.dim).
-
-    Every constituent must already be at the audio frame rate; mismatched
-    lengths are rejected.
-    """
-    layout = layout or ReliabilityLayout()
-    lengths = set()
-    for per_stream in model_feats.values():
-        for v in per_stream.values():
-            lengths.add(np.asarray(v).shape[0])
-    for v in list(audio_feats.values()) + list(video_feats.values()):
-        lengths.add(np.asarray(v).shape[0])
-    if len(lengths) != 1:
-        raise ValueError(f"constituent lengths differ: {sorted(lengths)}")
-    t_total = lengths.pop()
-    out = np.zeros((t_total, layout.dim))
-
-    def put(name: str, values: np.ndarray):
-        sl = layout.slice_of(name)
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.shape[1] != sl.stop - sl.start:
-            raise ValueError(f"{name}: expected width {sl.stop - sl.start}, "
-                             f"got {v.shape[1]}")
-        out[:, sl] = v
-
-    for stream in layout.streams:
-        for fname in layout.model_fields:
-            put(f"{stream}.{fname}", model_feats[stream][fname])
-    for fname, _ in layout._audio_fields():
-        put(f"audio.{fname}", audio_feats[fname])
-    for fname, _ in layout._video_fields():
-        put(f"video.{fname}", video_feats[fname])
-    return out

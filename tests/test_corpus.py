@@ -30,7 +30,12 @@ from avfusion.corpus import (
 )
 from avfusion.decode import build_decoding_graph, viterbi_decode, wer, pool_reports
 from avfusion.model_reliability import entropy
-from avfusion.signal_reliability import dct_matrix, idct_features, zigzag_indices
+from avfusion.signal_reliability import (
+    dct_matrix,
+    frame_snr,
+    idct_features,
+    zigzag_indices,
+)
 
 
 class TestBuildWorld:
@@ -167,6 +172,14 @@ class TestMixNoise:
         n = np.sum(noisy.noise_component[idx] ** 2)
         pooled = 10 * np.log10(s / n)
         assert abs(pooled - 3.0) < 0.5
+
+    def test_true_snr_is_the_frame_snr(self):
+        # the SNR track the fusers read is the reference per-frame SNR
+        world = build_world(WorldConfig(vocab_size=3), 0)
+        utt = sample_utterance(world, 3, seed=12)
+        for kind, snr in (("white", -6.0), ("babble", 3.0), ("white", None)):
+            noisy = mix_noise(utt, kind, snr, seed=13)
+            assert noisy.true_snr.tobytes() == frame_snr(noisy).tobytes()
 
     def test_unknown_kind_rejected(self):
         world = build_world(WorldConfig(vocab_size=3), 0)

@@ -189,8 +189,8 @@ class TestOracleWeights:
                 npt.assert_array_equal(
                     lam.weights, oracle_weights(posts, align, mode).weights)
 
-    def test_training_item_targets_equal_per_item_solves(self):
-        # build_training_items solves all items' oracle targets in one run
+    @staticmethod
+    def _training_items(oracle_mode):
         world = build_world(WorldConfig(vocab_size=3, states_per_word=2,
                                         calib_frames=40,
                                         calib_video_frames=30), 0)
@@ -198,7 +198,12 @@ class TestOracleWeights:
         utts = [sample_utterance(world, n, seed=i)
                 for i, n in enumerate((2, 3, 1, 2))]
         items = build_training_items(world, graph, utts, [-6.0, 3.0, None],
-                                     ["white", "babble"], 0, need_oracle=True)
+                                     ["white", "babble"], 0, oracle_mode)
+        return world, items
+
+    def test_training_item_targets_equal_per_item_solves(self):
+        # build_training_items solves all items' oracle targets in one run
+        world, items = self._training_items("renormalized")
         for item in items:
             alone = oracle_weights(
                 list(item["log_posts"]),
@@ -206,6 +211,18 @@ class TestOracleWeights:
                 mode="renormalized").weights
             assert item["oracle_weights"].shape == alone.shape
             assert item["oracle_weights"].tobytes() == alone.tobytes()
+
+    def test_training_item_targets_follow_the_oracle_mode(self):
+        world, items = self._training_items("linear")
+        solved = oracle_weights_batch(
+            [list(item["log_posts"]) for item in items],
+            [AlignmentTarget(item["targets"], world.config.num_states)
+             for item in items], mode="linear")
+        for item, weights in zip(items, solved, strict=True):
+            assert item["oracle_weights"].tobytes() == \
+                weights.weights.tobytes()
+        _, unsolved = self._training_items(None)
+        assert all("oracle_weights" not in item for item in unsolved)
 
     def test_batch_rejects_mixed_state_counts(self):
         rng = np.random.default_rng(16)

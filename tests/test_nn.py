@@ -18,7 +18,6 @@ from avfusion.nn.layers import (
     LogSoftmax,
     Network,
     ReLU,
-    Tanh,
     _sigmoid,
     build_network,
     load_checkpoint,
@@ -151,10 +150,6 @@ class TestGradCheck:
         rng = np.random.default_rng(21)
         self._passes(ReLU(), rng.standard_normal((2, 5, 4)) + 0.2)
 
-    def test_tanh(self):
-        rng = np.random.default_rng(22)
-        self._passes(Tanh(), rng.standard_normal((2, 5, 4)))
-
     def test_layer_norm(self):
         rng = np.random.default_rng(23)
         self._passes(LayerNorm(4), rng.standard_normal((2, 5, 4)))
@@ -190,7 +185,7 @@ class TestGradCheck:
 
     def test_recurrent_stack(self):
         rng = np.random.default_rng(29)
-        net = Network([Dense(5, 4, rng), Tanh(), LSTM(4, 3, rng),
+        net = Network([Dense(5, 4, rng), LayerNorm(4), LSTM(4, 3, rng),
                        LogSoftmax()])
         self._passes(net, rng.standard_normal((2, 4, 5)))
 

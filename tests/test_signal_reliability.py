@@ -1,10 +1,22 @@
-"""Tests for audio/video signal reliability features and the vector layout."""
+"""Tests for audio/video signal reliability features and the reliability
+vector built from them."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from avfusion.align import bresenham_map
+from avfusion.core import STREAMS, PosteriorSequence
 from avfusion.corpus import WorldConfig, build_world, mix_noise, sample_utterance
+from avfusion.experiment import reliability_features, stream_posterior_set
+from avfusion.model_reliability import (
+    dispersion,
+    dispersion_ratio,
+    entropy,
+    entropy_ratio,
+    posterior_difference,
+    temporal_divergence,
+)
 from avfusion.signal_reliability import (
     FRAME_LEN,
     FRAME_SHIFT,
@@ -14,9 +26,7 @@ from avfusion.signal_reliability import (
     SAMPLE_RATE,
     SNR_CAP_DB,
     VOICING_F0_THRESHOLD,
-    ReliabilityLayout,
     N_FFT,
-    assemble_reliability_vector,
     dct2,
     dct_matrix,
     delta,
@@ -448,87 +458,54 @@ class TestVideoFeaturesMatchFrameLoop:
                                idct_features(frame[None])[0])
 
 
-class TestReliabilityLayout:
-    def test_default_dimension_is_41(self):
-        assert ReliabilityLayout().dim == 41
+class TestReliabilityFeatures:
+    """``experiment.reliability_features`` on a real noisy cell, column
+    block by column block against each feature computed directly."""
 
-    def test_block_structure(self):
-        layout = ReliabilityLayout()
-        assert layout.slice_of("A.entropy") == slice(0, 1)
-        assert layout.slice_of("audio.mfcc") == slice(18, 23)
-        assert layout.slice_of("video.rotation") == slice(40, 41)
-        assert len(layout.names) == 18 + 6 + 5
+    @pytest.fixture(scope="class")
+    def cell(self):
+        world = build_world(WorldConfig(vocab_size=3), seed=0)
+        utt = mix_noise(sample_utterance(world, 3, seed=30), "babble", -3.0,
+                        seed=31)
+        posts = stream_posterior_set(utt, world)
+        return utt, posts, reliability_features(utt, posts)
 
-    def test_assemble_and_recover(self):
-        rng = np.random.default_rng(20)
-        layout = ReliabilityLayout()
-        t = 12
-        model = {
-            s: {f: rng.standard_normal(t) for f in layout.model_fields}
-            for s in layout.streams
-        }
-        audio = {
-            "mfcc": rng.standard_normal((t, 5)),
-            "delta_mfcc": rng.standard_normal((t, 5)),
-            "snr": rng.standard_normal(t),
-            "f0": rng.standard_normal(t),
-            "delta_f0": rng.standard_normal(t),
-            "voicing": rng.standard_normal(t),
-        }
-        video = {
-            "confidence": rng.standard_normal(t),
-            "idct": rng.standard_normal((t, 5)),
-            "brightness": rng.standard_normal(t),
-            "blur": rng.standard_normal(t),
-            "rotation": rng.standard_normal(t),
-        }
-        vec = assemble_reliability_vector(model, audio, video, layout)
-        assert vec.shape == (t, 41)
-        npt.assert_array_equal(vec[:, layout.slice_of("VA.dispersion")][:, 0],
-                               model["VA"]["dispersion"])
-        npt.assert_array_equal(vec[:, layout.slice_of("audio.mfcc")],
-                               audio["mfcc"])
-        npt.assert_array_equal(vec[:, layout.slice_of("video.idct")],
-                               video["idct"])
-        npt.assert_array_equal(vec[:, layout.slice_of("audio.voicing")][:, 0],
-                               audio["voicing"])
+    def test_shape_is_frames_by_41(self, cell):
+        utt, _, rel = cell
+        assert rel.shape == (utt.num_audio_frames, 41)
+        assert rel.dtype == np.float64
 
-    def test_mismatched_lengths_rejected(self):
-        layout = ReliabilityLayout()
-        rng = np.random.default_rng(21)
-        model = {
-            s: {f: rng.standard_normal(10) for f in layout.model_fields}
-            for s in layout.streams
-        }
-        audio = {
-            "mfcc": rng.standard_normal((10, 5)),
-            "delta_mfcc": rng.standard_normal((10, 5)),
-            "snr": rng.standard_normal(10),
-            "f0": rng.standard_normal(10),
-            "delta_f0": rng.standard_normal(10),
-            "voicing": rng.standard_normal(10),
-        }
-        video = {
-            "confidence": rng.standard_normal(9),  # wrong length
-            "idct": rng.standard_normal((10, 5)),
-            "brightness": rng.standard_normal(10),
-            "blur": rng.standard_normal(10),
-            "rotation": rng.standard_normal(10),
-        }
-        with pytest.raises(ValueError, match="lengths differ"):
-            assemble_reliability_vector(model, audio, video, layout)
+    def test_model_block_is_the_per_stream_measures(self, cell):
+        _, posts, rel = cell
+        frames = [posts[s].frames for s in STREAMS]
+        ent_ratio = entropy_ratio(np.stack([entropy(p) for p in frames], 1))
+        disp_ratio = dispersion_ratio(
+            np.stack([dispersion(p) for p in frames], 1))
+        for i, p in enumerate(frames):
+            want = [entropy(p), dispersion(p), posterior_difference(p),
+                    temporal_divergence(p), ent_ratio[:, i], disp_ratio[:, i]]
+            npt.assert_array_equal(rel[:, 6 * i:6 * i + 6],
+                                   np.stack(want, axis=1))
 
-    def test_zero_constituents_give_zero_vector(self):
-        layout = ReliabilityLayout()
-        t = 4
-        model = {s: {f: np.zeros(t) for f in layout.model_fields}
-                 for s in layout.streams}
-        audio = {"mfcc": np.zeros((t, 5)), "delta_mfcc": np.zeros((t, 5)),
-                 "snr": np.zeros(t), "f0": np.zeros(t),
-                 "delta_f0": np.zeros(t), "voicing": np.zeros(t)}
-        video = {"confidence": np.zeros(t), "idct": np.zeros((t, 5)),
-                 "brightness": np.zeros(t), "blur": np.zeros(t),
-                 "rotation": np.zeros(t)}
-        npt.assert_array_equal(
-            assemble_reliability_vector(model, audio, video, layout),
-            np.zeros((t, 41)))
+    def test_audio_block_is_the_audio_features(self, cell):
+        utt, _, rel = cell
+        mfcc = mfcc_frames(utt.audio, n_keep=5)
+        f0, voicing = pitch_nccf(utt.audio)
+        npt.assert_array_equal(rel[:, 18:23], mfcc)
+        npt.assert_array_equal(rel[:, 23:28], delta(mfcc))
+        npt.assert_array_equal(rel[:, 28], utt.true_snr)
+        npt.assert_array_equal(rel[:, 29:32],
+                               np.stack([f0, delta(f0), voicing], axis=1))
+
+    def test_video_block_is_upsampled_video_features(self, cell):
+        utt, _, rel = cell
+        frame_map = bresenham_map(utt.num_audio_frames, utt.num_video_frames)
+        video = np.column_stack([utt.confidence, idct_features(utt.video, 5),
+                                 image_distortion(utt.video)])
+        npt.assert_array_equal(rel[:, 32:41], video[frame_map])
+
+    def test_mismatched_lengths_rejected(self, cell):
+        utt, posts, _ = cell
+        short = dict(posts, VS=PosteriorSequence("VS", posts["VS"].frames[1:]))
+        with pytest.raises(ValueError):
+            reliability_features(utt, short)
