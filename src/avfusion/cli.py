@@ -3,8 +3,10 @@
 The stages share an output directory. Four chain through files, each
 reading what the stage before it wrote:
 
-    train    -> model checkpoints under models/ (self-contained)
-    fuse     -> fused log-posterior matrices under fused/ (needs train)
+    train    -> stream models and model checkpoints under models/
+                (self-contained)
+    fuse     -> fused log-posterior matrices under fused/ (needs train,
+                for every config)
     decode   -> word hypotheses under decode/ (needs fuse)
     evaluate -> word error rates under eval/ (needs decode)
 
@@ -26,11 +28,14 @@ for the conditions synth recorded and the config's first seed. The chain
 differs from the sweep only in that `decode` reads the fused matrices
 rounded to float32.
 
-Only the stages that compute stream posteriors calibrate the world's
-stream models, a Monte Carlo fit repeated by every such stage: `extract`,
-`train`, `fuse` and `sweep` do. `synth`, `decode` and `evaluate` read only
-the world's lexicon, LM and test utterances, so they draw the world
-without calibrating it (`corpus.draw_world`).
+Calibrating a world's stream models is a Monte Carlo fit. `extract`,
+`train` and `sweep` calibrate, once per seed. `train` also saves the
+calibrated models (models/streams.seed<n>.json, exact float64), even for a
+config without learned strategies, and `fuse` loads them instead of
+calibrating: it fuses with the very stream models the learned fusers were
+trained against, and rerunning `train` refreshes both. `synth`, `decode`
+and `evaluate` read only the world's lexicon, LM and test utterances, so
+they draw the world without its stream models (`corpus.draw_world`).
 
 Every artifact is a deterministic function of the config plus seed, so any
 stage can be re-run in place and produces identical bytes.  The output
@@ -43,7 +48,8 @@ stage runs with BLAS pinned to one thread, so neither count changes the
 output bytes.
 
 Exit codes: 0 success, 1 runtime failure (including missing prerequisite
-artifacts), 2 configuration error.
+artifacts, and damaged ones or ones written for another run, which the
+error names), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from .blas import single_blas_thread
 from .config import DEFAULT_CONFIG, ConfigError, load_config, validate_config
 from .core import (
     STREAMS,
+    ArtifactError,
     UtteranceRecord,
     read_manifest,
     read_matrix,
@@ -71,7 +78,9 @@ from .corpus import (
     WorldConfig,
     build_world,
     draw_world,
+    load_stream_models,
     save_audio_wav,
+    save_stream_models,
     save_video_raw,
 )
 from .decode import build_decoding_graph, pool_reports, viterbi_decode, wer
@@ -188,6 +197,17 @@ def _world_for_seed(cfg: dict, seed: int, calibrated: bool) -> World:
     return make(WorldConfig(**cfg["world"]), seed)
 
 
+def _streams_path(out: Path, seed: int) -> Path:
+    return out / "models" / f"streams.seed{seed}.json"
+
+
+def _trained_world(cfg: dict, out: Path, seed: int) -> World:
+    """The seed's world with the stream models ``train`` saved, the ones
+    its learned fusers were trained against."""
+    path = _require(_streams_path(out, seed), "train")
+    return load_stream_models(path, WorldConfig(**cfg["world"]), seed)
+
+
 def _conf_path(video_path: str) -> str:
     return video_path.rsplit(".", 1)[0] + ".conf.avpf"
 
@@ -283,14 +303,16 @@ def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
     strategies = _strategies(args, cfg, trained_only=True)
-    if not strategies:
-        print("train: no learned strategies in the config; nothing to do")
-        return 0
     (out / "models").mkdir(exist_ok=True)
     score_path = out / "models" / "val_ce.json"
     scores = json.loads(score_path.read_text()) if score_path.exists() else {}
     for seed in [int(s) for s in cfg["seeds"]]:
         world = _world_for_seed(cfg, seed, calibrated=True)
+        streams_path = _streams_path(out, seed)
+        save_stream_models(world, streams_path)
+        print(f"train: seed {seed} stream models -> {streams_path}")
+        if not strategies:
+            continue
         graph = build_decoding_graph(world, cfg["lm_scale"])
         models, val_ce = train_strategy_models(cfg, world, graph, seed,
                                                strategies)
@@ -299,7 +321,8 @@ def _cmd_train(args) -> int:
             scores.setdefault(strat, {})[str(seed)] = val_ce[strat]
             print(f"train: {strat} seed {seed} best val loss "
                   f"{val_ce[strat]:.4f} -> {_model_dir(out, strat, seed)}")
-    score_path.write_text(json.dumps(scores, indent=2, sort_keys=True))
+    if strategies:
+        score_path.write_text(json.dumps(scores, indent=2, sort_keys=True))
     return 0
 
 
@@ -322,7 +345,7 @@ def _cmd_fuse(args) -> int:
     conditions = _conditions(args, cfg)
     written = 0
     for seed in [int(s) for s in cfg["seeds"]]:
-        world = _world_for_seed(cfg, seed, calibrated=True)
+        world = _trained_world(cfg, out, seed)
         models = _load_models(out, strategies, seed)
         utts = test_split(cfg, world)
         cache = video_cache(world, utts, threads)
@@ -493,7 +516,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("train", parents=[common],
-                       help="train learned fusion models and checkpoint them")
+                       help="save the calibrated stream models, train learned "
+                            "fusion models and checkpoint them")
     p.add_argument("--strategy", help="train only this strategy")
     p.set_defaults(func=_cmd_train)
 
@@ -537,7 +561,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MissingArtifact as exc:
+    except (MissingArtifact, ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # keep the exit-code contract for scripts

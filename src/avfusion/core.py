@@ -9,6 +9,7 @@ followed by row-major 32-bit little-endian floats.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -30,6 +31,23 @@ class FormatError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
+
+
+class ArtifactError(ValueError):
+    """A stored artifact cannot be used: it is damaged, or it was written
+    for another run. The message names the file."""
+
+
+@contextlib.contextmanager
+def reading_artifact(path: str | Path):
+    """Re-raise a failure to read or check ``path`` as ``ArtifactError``
+    naming the file."""
+    try:
+        yield
+    except ArtifactError:
+        raise
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+        raise ArtifactError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)

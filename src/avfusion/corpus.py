@@ -9,26 +9,39 @@ single-stream posteriors come straight from Bayes' rule with a uniform
 prior. Per-stream temperature knobs inflate the calibrated variances to set
 how sharp each stream's posteriors are. ``draw_world`` stops short of the
 calibration, for callers that never compute posteriors; ``build_world``
-adds it.
+adds it. ``save_stream_models`` writes a calibrated world's models to a
+file, and ``load_stream_models`` gives the drawn world those very models
+back without calibrating it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import wave
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .align import align_stream, bresenham_map
-from .core import AlignmentTarget, PosteriorSequence, StateSpace, normalize_posteriors
+from .core import (
+    STREAMS,
+    AlignmentTarget,
+    PosteriorSequence,
+    StateSpace,
+    normalize_posteriors,
+    reading_artifact,
+)
 from .signal_reliability import (
     FRAME_LEN,
     FRAME_SHIFT,
     SAMPLE_RATE,
     frame_energy,
     idct_features,
+    log_mel_frames,
     mfcc_frames,
+    mfcc_from_log_mel,
     snr_db_from_energies,
 )
 
@@ -76,6 +89,11 @@ class WorldConfig:
     def num_states(self) -> int:
         return self.vocab_size * self.states_per_word
 
+    def to_doc(self) -> dict:
+        """The config as a JSON document."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in vars(self).items()}
+
 
 @dataclass
 class World:
@@ -96,8 +114,7 @@ class World:
     def to_manifest(self) -> dict:
         return {
             "seed": self.seed,
-            "config": {k: list(v) if isinstance(v, tuple) else v
-                       for k, v in vars(self.config).items()},
+            "config": self.config.to_doc(),
             "vocabulary": self.vocabulary,
             "lexicon": {w: list(map(int, s)) for w, s in self.lexicon.items()},
             "lm_initial": [round(float(p), 12) for p in self.lm_initial],
@@ -139,6 +156,18 @@ class Utterance:
     noise_kind: str | None = None
     noise_component: np.ndarray | None = None
     distortions: list[VideoDistortion] = field(default_factory=list)
+    # not an init field, so ``replace`` (``mix_noise``) starts a new
+    # utterance without it
+    _log_mel: np.ndarray | None = field(default=None, init=False,
+                                        repr=False, compare=False)
+
+    @property
+    def log_mel(self) -> np.ndarray:
+        """Log mel energies of ``audio``, computed once: the A stream's
+        features and the reliability vector's MFCCs both start from them."""
+        if self._log_mel is None:
+            self._log_mel = log_mel_frames(self.audio)
+        return self._log_mel
 
     @property
     def num_audio_frames(self) -> int:
@@ -232,6 +261,50 @@ def build_world(config: WorldConfig, seed: int = 0) -> World:
     """
     world = draw_world(config, seed)
     _calibrate_models(world, np.random.default_rng([seed, 0xCA]))
+    return world
+
+
+def save_stream_models(world: World, path) -> None:
+    """Write a calibrated world's stream models to ``path`` as JSON, with
+    the world config and seed they belong to. Floats are written as their
+    shortest repr, so ``load_stream_models`` reads the same float64 arrays
+    back."""
+    doc = {"config": world.config.to_doc(), "seed": world.seed,
+           "obs_means": {s: world.obs_means[s].tolist() for s in STREAMS},
+           "obs_vars": {s: world.obs_vars[s].tolist() for s in STREAMS}}
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+
+
+def load_stream_models(path, config: WorldConfig, seed: int) -> World:
+    """``draw_world(config, seed)`` with the stream models that
+    ``save_stream_models`` wrote to ``path`` instead of a calibration.
+
+    A file written for another world config or seed, or a damaged one (not
+    JSON, arrays of the wrong shape, non-finite values, variances that are
+    not positive), raises ``ArtifactError`` naming it.
+    """
+    world = draw_world(config, seed)
+    with reading_artifact(path):
+        doc = json.loads(Path(path).read_text())
+        if doc["seed"] != seed or doc["config"] != config.to_doc():
+            raise ValueError(f"written for another world than seed {seed} "
+                             f"of this world config; rerun `train`")
+        dims = {"A": config.audio_obs_dim, "VA": config.va_obs_dim,
+                "VS": config.vs_obs_dim}
+        for stream, dim in dims.items():
+            shape = (config.num_states, dim)
+            mean = np.asarray(doc["obs_means"][stream], dtype=np.float64)
+            var = np.asarray(doc["obs_vars"][stream], dtype=np.float64)
+            if mean.shape != shape or var.shape != shape:
+                raise ValueError(f"{stream} means and variances have shapes "
+                                 f"{mean.shape} and {var.shape}, expected "
+                                 f"{shape}")
+            if not (np.isfinite(mean).all() and np.isfinite(var).all()
+                    and (var > 0).all()):
+                raise ValueError(f"{stream} means and variances must be "
+                                 f"finite, variances positive")
+            world.obs_means[stream] = mean
+            world.obs_vars[stream] = var
     return world
 
 
@@ -451,7 +524,7 @@ def stream_loglik(utterance: Utterance, world: World, stream: str) -> np.ndarray
                          "it with build_world, not draw_world")
     cfg = world.config
     if stream == "A":
-        feats = mfcc_frames(utterance.audio, n_keep=cfg.audio_obs_dim)
+        feats = mfcc_from_log_mel(utterance.log_mel, cfg.audio_obs_dim)
         temp = cfg.temp_a
     elif stream == "VA":
         feats = idct_features(utterance.video, cfg.va_obs_dim)

@@ -19,7 +19,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from .signal_reliability import (
     delta,
     idct_features,
     image_distortion,
-    mfcc_frames,
+    mfcc_from_log_mel,
     pitch_nccf,
 )
 
@@ -81,7 +81,7 @@ def condition_label(snr_db: float | None) -> str:
 
 def audio_signal_features(utt: Utterance) -> np.ndarray:
     """(T, 14): MFCC x5, delta MFCC x5, SNR, f0, delta f0, voicing."""
-    mfcc = mfcc_frames(utt.audio, n_keep=N_MFCC)
+    mfcc = mfcc_from_log_mel(utt.log_mel, N_MFCC)
     f0, voicing = pitch_nccf(utt.audio)
     return np.column_stack([mfcc, delta(mfcc), utt.true_snr, f0, delta(f0),
                             voicing])
@@ -185,7 +185,8 @@ def build_training_items(world: World, graph: DecodingGraph,
     for idx, utt in enumerate(utts):
         cond = conditions[idx % len(conditions)]
         kind = kinds[idx % len(kinds)]
-        clean_posts_a = compute_stream_posteriors(utt, world, "A")
+        # on a copy, so the caller's utterance keeps no log-mel memo
+        clean_posts_a = compute_stream_posteriors(replace(utt), world, "A")
         target = forced_align(utt.words, np.log(clean_posts_a.frames), graph)
         noisy = mix_noise(utt, kind, cond, seed=seed * 7919 + idx)
         posts = stream_posterior_set(noisy, world)

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlignmentTarget, FusedLogPosterior, StreamWeights
+from .core import (
+    AlignmentTarget,
+    FusedLogPosterior,
+    StreamWeights,
+    reading_artifact,
+)
 from . import nn
 
 
@@ -212,11 +217,32 @@ class WeightEstimator:
 
     @classmethod
     def load(cls, path: str) -> "WeightEstimator":
-        with open(os.path.join(path, "model.json")) as fh:
-            meta = json.load(fh)
-        return cls(net=nn.load_checkpoint(path), criterion=meta["criterion"],
-                   input_mean=np.asarray(meta["input_mean"]),
-                   input_std=np.asarray(meta["input_std"]))
+        """Read ``save``'s directory back; a damaged one raises
+        ``ArtifactError`` naming the file."""
+        net = nn.load_checkpoint(path)
+        meta_path = os.path.join(path, "model.json")
+        with reading_artifact(meta_path):
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+            mean, std = _input_stats(meta, net)
+            return cls(net=net, criterion=meta["criterion"],
+                       input_mean=mean, input_std=std)
+
+
+def _input_stats(meta: dict, net: nn.Network) -> tuple[np.ndarray, np.ndarray]:
+    """A saved model's input standardization, checked against its network:
+    one finite mean and one positive, finite std per network input."""
+    width = net.specs()[0].get("in")
+    mean = np.asarray(meta["input_mean"], dtype=np.float64)
+    std = np.asarray(meta["input_std"], dtype=np.float64)
+    if mean.shape != (width,) or std.shape != (width,):
+        raise ValueError(f"input_mean and input_std have shapes {mean.shape} "
+                         f"and {std.shape}; the network takes {width} inputs")
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()
+            and (std > 0).all()):
+        raise ValueError("input_mean and input_std must be finite, "
+                         "input_std positive")
+    return mean, std
 
 
 def _standardize_stats(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -354,12 +380,21 @@ class DfnModel:
 
     @classmethod
     def load(cls, path: str) -> "DfnModel":
-        with open(os.path.join(path, "model.json")) as fh:
-            meta = json.load(fh)
-        return cls(net=nn.load_checkpoint(path), variant=meta["variant"],
-                   num_states=meta["num_states"], rel_dim=meta["rel_dim"],
-                   input_mean=np.asarray(meta["input_mean"]),
-                   input_std=np.asarray(meta["input_std"]))
+        """Read ``save``'s directory back; a damaged one raises
+        ``ArtifactError`` naming the file."""
+        net = nn.load_checkpoint(path)
+        meta_path = os.path.join(path, "model.json")
+        with reading_artifact(meta_path):
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+            mean, std = _input_stats(meta, net)
+            width = dfn_input_dim(meta["num_states"], meta["rel_dim"])
+            if mean.shape != (width,):
+                raise ValueError(f"num_states and rel_dim give {width} "
+                                 f"inputs, the network takes {mean.size}")
+            return cls(net=net, variant=meta["variant"],
+                       num_states=meta["num_states"], rel_dim=meta["rel_dim"],
+                       input_mean=mean, input_std=std)
 
 
 def dfn_input(posteriors: list[np.ndarray], reliability: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from ..core import read_matrix, write_matrix
+from ..core import read_matrix, reading_artifact, write_matrix
 
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -420,11 +420,27 @@ def save_checkpoint(net: Network, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Network:
-    with open(os.path.join(path, "topology.json")) as fh:
-        topo = json.load(fh)
-    net = build_network(topo["layers"], rng=0)
-    for entry in topo["params"]:
-        value = read_matrix(os.path.join(path, entry["file"]))
-        net.layers[entry["layer"]].params[entry["name"]] = \
-            value.reshape(entry["shape"])
+    """Read a ``save_checkpoint`` directory back. A damaged checkpoint -- an
+    unreadable file, a parameter missing or of the wrong shape, a
+    non-finite value -- raises ``ArtifactError`` naming the file."""
+    topo_path = os.path.join(path, "topology.json")
+    with reading_artifact(topo_path):
+        with open(topo_path) as fh:
+            topo = json.load(fh)
+        net = build_network(topo["layers"], rng=0)
+        files = {(e["layer"], e["name"]): e["file"] for e in topo["params"]}
+        shapes = {(i, name): p.shape for i, name, p in net.parameters()}
+        if set(files) != set(shapes):
+            raise ValueError("the listed parameters do not match the layers")
+    for (idx, name), shape in shapes.items():
+        file = os.path.join(path, files[idx, name])
+        with reading_artifact(file):
+            value = read_matrix(file)
+            stored = shape if len(shape) == 2 else (1, *shape)
+            if value.shape != stored:
+                raise ValueError(f"layer {idx} {name} is {value.shape[0]}x"
+                                 f"{value.shape[1]}, expected {stored}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"layer {idx} {name} has non-finite values")
+        net.layers[idx].params[name] = value.reshape(shape)
     return net

@@ -94,8 +94,13 @@ def log_mel_frames(waveform: np.ndarray, n_mels: int = 23) -> np.ndarray:
 
 def mfcc_frames(waveform: np.ndarray, n_mels: int = 23, n_keep: int = 5) -> np.ndarray:
     """First ``n_keep`` MFCCs per 10 ms frame of a 16 kHz signal."""
-    logmel = log_mel_frames(waveform, n_mels)
-    return logmel @ dct_matrix(n_mels)[:n_keep].T
+    return mfcc_from_log_mel(log_mel_frames(waveform, n_mels), n_keep)
+
+
+def mfcc_from_log_mel(logmel: np.ndarray, n_keep: int) -> np.ndarray:
+    """First ``n_keep`` MFCCs of ``log_mel_frames`` output, so that one
+    log-mel serves MFCCs of several lengths."""
+    return logmel @ dct_matrix(logmel.shape[1])[:n_keep].T
 
 
 def delta(features: np.ndarray, window: int = 2) -> np.ndarray:

@@ -11,7 +11,8 @@ import pytest
 
 from avfusion import cli, corpus
 from avfusion.cli import main
-from avfusion.core import STREAMS, read_manifest, read_matrix
+from avfusion.config import validate_config
+from avfusion.core import STREAMS, read_manifest, read_matrix, write_matrix
 
 TINY = {
     "world": {
@@ -110,6 +111,16 @@ class TestExitCodes:
         assert main(["decode", "--config", tiny_cfg, "--out",
                      pipeline_out]) == 1
         assert "fuse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategies", [["ao", "static"],
+                                            ["ao", "dsw-ce"]])
+    def test_fuse_before_train_exits_1(self, tmp_path, capsys, strategies):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(TINY, strategies=strategies)))
+        assert main(["fuse", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "streams.seed0.json" in err and "`train`" in err
 
     def test_report_before_sweep_exits_1(self, tiny_cfg, tmp_path, capsys):
         assert main(["report", "--config", tiny_cfg, "--out",
@@ -286,6 +297,35 @@ class TestStagedChainMatchesSweep:
                     np.testing.assert_array_equal(
                         got, mat.astype(np.float32), err_msg=name)
 
+    def test_fuse_loads_the_trained_stream_models(self, chain, tmp_path,
+                                                  monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(chain.out, out)
+        shutil.rmtree(out / "fused")
+
+        def refuse(*_):
+            raise AssertionError("stream models calibrated")
+
+        monkeypatch.setattr(corpus, "_calibrate_models", refuse)
+        assert main(["fuse", "--config", str(chain.cfg_path), "--out",
+                     str(out)]) == 0
+        assert _avpf_bytes(out, "fused") == chain.threads1
+
+    def test_saved_stream_models_are_the_calibrated_ones(self, chain):
+        world_cfg = corpus.WorldConfig(**validate_config(CHAIN)["world"])
+        for seed in CHAIN["seeds"]:
+            loaded = corpus.load_stream_models(
+                chain.out / "models" / f"streams.seed{seed}.json",
+                world_cfg, seed)
+            built = corpus.build_world(world_cfg, seed)
+            for stream in STREAMS:
+                for name in ("obs_means", "obs_vars"):
+                    got = getattr(loaded, name)[stream]
+                    want = getattr(built, name)[stream]
+                    assert got.dtype == want.dtype == np.float64
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (seed, stream)
+
     def test_export_and_scoring_stages_do_not_calibrate(self, chain,
                                                         tmp_path,
                                                         monkeypatch):
@@ -305,3 +345,135 @@ class TestStagedChainMatchesSweep:
                 for strat in CHAIN["strategies"] for seed in CHAIN["seeds"]]:
             assert (out / name).read_bytes() == \
                 (chain.out / name).read_bytes(), name
+
+
+class TestStreamModelsFromAnotherRun:
+    """fuse refuses stream models that train wrote for another world."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tiny_cfg, tmp_path_factory):
+        out = tmp_path_factory.mktemp("trained")
+        assert main(["train", "--config", tiny_cfg, "--out", str(out)]) == 0
+        assert (out / "models" / "streams.seed0.json").exists()
+        assert not (out / "models" / "val_ce.json").exists()
+        return out
+
+    @pytest.mark.parametrize("other", ["world", "seed"])
+    def test_fuse_exits_1(self, trained, tiny_cfg, tmp_path, capsys, other):
+        elsewhere = tmp_path / "elsewhere"
+        if other == "world":
+            cfg = tmp_path / "other.json"
+            cfg.write_text(json.dumps(
+                dict(TINY, world=dict(TINY["world"], temp_a=2.0))))
+            argv = ["train", "--config", str(cfg)]
+            written = elsewhere / "models" / "streams.seed0.json"
+        else:
+            argv = ["train", "--config", tiny_cfg, "--seed", "1"]
+            written = elsewhere / "models" / "streams.seed1.json"
+        assert main(argv + ["--out", str(elsewhere)]) == 0
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        target = out / "models" / "streams.seed0.json"
+        shutil.copyfile(written, target)
+        capsys.readouterr()
+        assert main(["fuse", "--config", tiny_cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(target) in err and "another world" in err
+
+
+# a learned fuser of each kind, for damaging their checkpoints
+LEARNED = dict(TINY, strategies=["ao", "dsw-ce", "dfn-lstm"],
+               dfn={"widths": [16, 8, 8], "hidden": 8, "scale": 1.0})
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _nan_first(path):
+    mat = read_matrix(path)
+    mat.flat[0] = np.nan
+    write_matrix(path, mat)
+
+
+def _edit_json(edit):
+    def damage(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return damage
+
+
+def _set_first(key, value):
+    def edit(doc):
+        doc[key]["A"][0][0] = value
+    return edit
+
+
+DAMAGES = {
+    "ckpt-truncated-matrix": ("dfn-lstm.seed0/p000_b.avpf", _truncate),
+    "ckpt-matrix-of-wrong-shape": (
+        "dfn-lstm.seed0/p000_b.avpf",
+        lambda p: write_matrix(p, np.zeros((2, 3)))),
+    "ckpt-nan-weight": ("dfn-lstm.seed0/p000_w.avpf", _nan_first),
+    "ckpt-truncated-topology": ("dfn-lstm.seed0/topology.json", _truncate),
+    "ckpt-missing-parameter": (
+        "dfn-lstm.seed0/topology.json",
+        _edit_json(lambda doc: doc["params"].pop())),
+    "ckpt-truncated-meta": ("dfn-lstm.seed0/model.json", _truncate),
+    "ckpt-short-input-mean": (
+        "dfn-lstm.seed0/model.json",
+        _edit_json(lambda doc: doc["input_mean"].pop())),
+    "estimator-nan-weight": ("dsw-ce.seed0/p002_w.avpf", _nan_first),
+    "estimator-long-input-std": (
+        "dsw-ce.seed0/model.json",
+        _edit_json(lambda doc: doc["input_std"].append(1.0))),
+    "estimator-zero-input-std": (
+        "dsw-ce.seed0/model.json",
+        _edit_json(lambda doc: doc["input_std"].__setitem__(0, 0.0))),
+    "streams-truncated": ("streams.seed0.json", _truncate),
+    "streams-wrong-shape": (
+        "streams.seed0.json",
+        _edit_json(lambda doc: doc["obs_vars"]["VA"].pop())),
+    "streams-nan-mean": ("streams.seed0.json",
+                         _edit_json(_set_first("obs_means", float("nan")))),
+    "streams-infinite-variance": (
+        "streams.seed0.json",
+        _edit_json(_set_first("obs_vars", float("inf")))),
+    "streams-zero-variance": ("streams.seed0.json",
+                              _edit_json(_set_first("obs_vars", 0.0))),
+    "streams-missing-stream": (
+        "streams.seed0.json",
+        _edit_json(lambda doc: doc["obs_means"].pop("VS"))),
+}
+
+
+class TestDamagedModels:
+    """A damaged checkpoint or stream-models file makes fuse exit 1 with an
+    error that names the file."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("learned")
+        cfg = root / "learned.json"
+        cfg.write_text(json.dumps(LEARNED))
+        out = root / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["fuse", "--config", str(cfg), "--out", str(out),
+                     "--snr", "clean"]) == 0
+        return SimpleNamespace(cfg=cfg, out=out)
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGES))
+    def test_fuse_exits_1_naming_the_file(self, trained, tmp_path, capsys,
+                                          kind):
+        name, damage = DAMAGES[kind]
+        out = tmp_path / "out"
+        shutil.copytree(trained.out, out)
+        target = out / "models" / name
+        damage(target)
+        capsys.readouterr()
+        assert main(["fuse", "--config", str(trained.cfg), "--out", str(out),
+                     "--snr", "clean"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err, err

@@ -1,8 +1,10 @@
 """Tests for strict config validation and loading."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avfusion.config import (
     DEFAULT_CONFIG,
@@ -72,6 +74,79 @@ class TestValidateConfig:
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             validate_config({"seeds": []})
+
+
+# any JSON value, NaN and infinities included (json.loads accepts them)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+# values near a config's own: small numbers and edge cases weigh as much as
+# arbitrary JSON
+_value = st.one_of(_json, st.integers(-3, 3), st.floats(-2.0, 2.0),
+                   st.sampled_from([0, 1, -1, 0.0, 1.0, float("nan"),
+                                    float("inf"), [], {}, "", True]))
+
+
+def _paths(node, path=()):
+    """The path of every node of a config document, the root's first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+_DEFAULT_PATHS = list(_paths(DEFAULT_CONFIG))
+
+
+def _mutated_default(data) -> dict:
+    """DEFAULT_CONFIG with one to three nodes, at any depth, each replaced
+    by a random value, deleted, or given an unknown key."""
+    doc = copy.deepcopy(DEFAULT_CONFIG)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        path = data.draw(st.sampled_from(_DEFAULT_PATHS), label="path")
+        try:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            node = parent[path[-1]] if path else doc
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced the node
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "add" and isinstance(node, dict):
+            node[data.draw(st.text(max_size=8), label="new key")] = \
+                data.draw(_value, label="new value")
+        elif action == "delete" and path:
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = data.draw(_value, label="value")
+        else:
+            doc = data.draw(_value, label="root")
+    return doc
+
+
+class TestValidateConfigFuzz:
+    """validate_config returns a config or raises ConfigError, never
+    anything else."""
+
+    @staticmethod
+    def _validate(doc):
+        try:
+            validate_config(doc)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json)
+    def test_random_documents(self, doc):
+        self._validate(doc)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_mutated_default_config(self, data):
+        self._validate(_mutated_default(data))
 
 
 class TestLoadConfig:

@@ -6,6 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from avfusion import corpus, experiment
+from avfusion.align import align_stream, bresenham_map
+from avfusion.core import normalize_posteriors
 from avfusion.corpus import (
     FRAME_LEN,
     FRAME_SHIFT,
@@ -34,6 +37,8 @@ from avfusion.signal_reliability import (
     dct_matrix,
     frame_snr,
     idct_features,
+    log_mel_frames,
+    mfcc_frames,
     zigzag_indices,
 )
 
@@ -292,6 +297,64 @@ class TestStreamPosteriors:
         joint = compute_joint_posteriors(utt, world)
         assert joint.shape == (utt.num_audio_frames, world.config.num_states)
         npt.assert_allclose(joint.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestLogMelMemo:
+    """An utterance computes its log-mel once; the A stream's features are
+    still ``mfcc_frames`` of its audio, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world(WorldConfig(vocab_size=3, audio_obs_dim=9,
+                                       temp_a=1.5), 4)
+
+    def test_a_posteriors_are_the_mfcc_definition(self, world):
+        from avfusion.corpus import _gauss_loglik, _softmax_rows
+
+        cfg = world.config
+        noisy = mix_noise(sample_utterance(world, 3, seed=40), "babble",
+                          0.0, seed=3)
+        want = _gauss_loglik(mfcc_frames(noisy.audio, n_keep=9),
+                             world.obs_means["A"], world.obs_vars["A"],
+                             cfg.temp_a)
+        assert stream_loglik(noisy, world, "A").tobytes() == want.tobytes()
+        post = compute_stream_posteriors(noisy, world, "A").frames
+        assert post.tobytes() == \
+            normalize_posteriors(_softmax_rows(want)).tobytes()
+        total = want
+        for stream in ("VS", "VA"):
+            ll = stream_loglik(noisy, world, stream)
+            total = total + align_stream(
+                ll, bresenham_map(noisy.num_audio_frames, ll.shape[0]))
+        joint = compute_joint_posteriors(noisy, world)
+        assert joint.tobytes() == \
+            normalize_posteriors(_softmax_rows(total)).tobytes()
+
+    def test_mixing_starts_a_new_memo(self, world):
+        utt = sample_utterance(world, 2, seed=41)
+        clean_mel = utt.log_mel
+        for snr in (0.0, None):
+            mixed = mix_noise(utt, "white", snr, seed=5)
+            assert mixed.log_mel is not clean_mel
+            assert mixed.log_mel.tobytes() == \
+                log_mel_frames(mixed.audio).tobytes()
+
+    def test_one_log_mel_per_cell(self, world, monkeypatch):
+        calls = []
+
+        def counted(waveform, *args):
+            calls.append(len(waveform))
+            return log_mel_frames(waveform, *args)
+
+        monkeypatch.setattr(corpus, "log_mel_frames", counted)
+        utts = [sample_utterance(world, 2, seed=42 + i) for i in range(3)]
+        cache = experiment.video_cache(world, utts)
+        calls.clear()
+        cells = experiment.condition_cells(world, utts, cache, 3.0,
+                                           ["white"], 0)
+        experiment.fuse_cells(cells, ["ao", "early", "static"], world, {},
+                              "renormalized")
+        assert calls == [len(u.audio) for u in utts]
 
 
 def test_va_features_match_einsum_form():
