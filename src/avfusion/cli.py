@@ -33,9 +33,13 @@ Calibrating a world's stream models is a Monte Carlo fit. `extract`,
 calibrated models (models/streams.seed<n>.json, exact float64), even for a
 config without learned strategies, and `fuse` loads them instead of
 calibrating: it fuses with the very stream models the learned fusers were
-trained against, and rerunning `train` refreshes both. `synth`, `decode`
-and `evaluate` read only the world's lexicon, LM and test utterances, so
-they draw the world without its stream models (`corpus.draw_world`).
+trained against, and rerunning `train` refreshes both. The file lists the
+learned strategies trained against its models; a rerun that leaves the
+models unchanged keeps the list and adds to it, one that changes them
+starts it anew, and `fuse` refuses a learned strategy the list lacks.
+`synth`, `decode` and `evaluate` read only the world's lexicon, LM and
+test utterances, so they draw the world without its stream models
+(`corpus.draw_world`).
 
 Every artifact is a deterministic function of the config plus seed, so any
 stage can be re-run in place and produces identical bytes.  The output
@@ -82,6 +86,7 @@ from .corpus import (
     save_audio_wav,
     save_stream_models,
     save_video_raw,
+    trained_strategies,
 )
 from .decode import build_decoding_graph, pool_reports, viterbi_decode, wer
 from .experiment import (
@@ -201,11 +206,14 @@ def _streams_path(out: Path, seed: int) -> Path:
     return out / "models" / f"streams.seed{seed}.json"
 
 
-def _trained_world(cfg: dict, out: Path, seed: int) -> World:
-    """The seed's world with the stream models ``train`` saved, the ones
-    its learned fusers were trained against."""
+def _trained_world(cfg: dict, out: Path, seed: int,
+                   strategies: list[str]) -> World:
+    """The seed's world with the stream models ``train`` saved, which must
+    list each learned strategy of ``strategies`` as trained against them."""
     path = _require(_streams_path(out, seed), "train")
-    return load_stream_models(path, WorldConfig(**cfg["world"]), seed)
+    return load_stream_models(
+        path, WorldConfig(**cfg["world"]), seed,
+        needs=[s for s in strategies if s in TRAINED_STRATEGIES])
 
 
 def _conf_path(video_path: str) -> str:
@@ -309,7 +317,11 @@ def _cmd_train(args) -> int:
     for seed in [int(s) for s in cfg["seeds"]]:
         world = _world_for_seed(cfg, seed, calibrated=True)
         streams_path = _streams_path(out, seed)
-        save_stream_models(world, streams_path)
+        # checkpoints trained earlier against these very models stay
+        # valid; the ones about to be replaced are not listed until saved
+        kept = [s for s in trained_strategies(streams_path, world)
+                if s not in strategies]
+        save_stream_models(world, streams_path, kept)
         print(f"train: seed {seed} stream models -> {streams_path}")
         if not strategies:
             continue
@@ -321,6 +333,7 @@ def _cmd_train(args) -> int:
             scores.setdefault(strat, {})[str(seed)] = val_ce[strat]
             print(f"train: {strat} seed {seed} best val loss "
                   f"{val_ce[strat]:.4f} -> {_model_dir(out, strat, seed)}")
+        save_stream_models(world, streams_path, kept + list(models))
     if strategies:
         score_path.write_text(json.dumps(scores, indent=2, sort_keys=True))
     return 0
@@ -345,7 +358,7 @@ def _cmd_fuse(args) -> int:
     conditions = _conditions(args, cfg)
     written = 0
     for seed in [int(s) for s in cfg["seeds"]]:
-        world = _trained_world(cfg, out, seed)
+        world = _trained_world(cfg, out, seed, strategies)
         models = _load_models(out, strategies, seed)
         utts = test_split(cfg, world)
         cache = video_cache(world, utts, threads)

@@ -10,8 +10,9 @@ prior. Per-stream temperature knobs inflate the calibrated variances to set
 how sharp each stream's posteriors are. ``draw_world`` stops short of the
 calibration, for callers that never compute posteriors; ``build_world``
 adds it. ``save_stream_models`` writes a calibrated world's models to a
-file, and ``load_stream_models`` gives the drawn world those very models
-back without calibrating it.
+file, with the learned strategies trained against them, and
+``load_stream_models`` gives the drawn world those very models back
+without calibrating it.
 """
 
 from __future__ import annotations
@@ -264,24 +265,44 @@ def build_world(config: WorldConfig, seed: int = 0) -> World:
     return world
 
 
-def save_stream_models(world: World, path) -> None:
+def _stream_models_doc(world: World) -> dict:
+    return {"config": world.config.to_doc(), "seed": world.seed,
+            "obs_means": {s: world.obs_means[s].tolist() for s in STREAMS},
+            "obs_vars": {s: world.obs_vars[s].tolist() for s in STREAMS}}
+
+
+def save_stream_models(world: World, path, trained=()) -> None:
     """Write a calibrated world's stream models to ``path`` as JSON, with
-    the world config and seed they belong to. Floats are written as their
-    shortest repr, so ``load_stream_models`` reads the same float64 arrays
-    back."""
-    doc = {"config": world.config.to_doc(), "seed": world.seed,
-           "obs_means": {s: world.obs_means[s].tolist() for s in STREAMS},
-           "obs_vars": {s: world.obs_vars[s].tolist() for s in STREAMS}}
+    the world config and seed they belong to and ``trained``, the learned
+    strategies trained against them. Floats are written as their shortest
+    repr, so ``load_stream_models`` reads the same float64 arrays back."""
+    doc = dict(_stream_models_doc(world), trained=sorted(trained))
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
-def load_stream_models(path, config: WorldConfig, seed: int) -> World:
+def trained_strategies(path, world: World) -> list[str]:
+    """The learned strategies ``path`` lists as trained against ``world``'s
+    stream models; none when the file is missing or damaged or holds other
+    models."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        trained = sorted(doc.pop("trained"))
+    except (OSError, ValueError, AttributeError, KeyError, TypeError):
+        return []
+    same = doc == json.loads(json.dumps(_stream_models_doc(world)))
+    return trained if same else []
+
+
+def load_stream_models(path, config: WorldConfig, seed: int,
+                       needs=()) -> World:
     """``draw_world(config, seed)`` with the stream models that
     ``save_stream_models`` wrote to ``path`` instead of a calibration.
 
-    A file written for another world config or seed, or a damaged one (not
-    JSON, arrays of the wrong shape, non-finite values, variances that are
-    not positive), raises ``ArtifactError`` naming it.
+    A file written for another world config or seed, one that does not
+    list every learned strategy of ``needs`` as trained against its
+    models, or a damaged one (not JSON, arrays of the wrong shape,
+    non-finite values, variances that are not positive), raises
+    ``ArtifactError`` naming it.
     """
     world = draw_world(config, seed)
     with reading_artifact(path):
@@ -305,6 +326,11 @@ def load_stream_models(path, config: WorldConfig, seed: int) -> World:
                                  f"finite, variances positive")
             world.obs_means[stream] = mean
             world.obs_vars[stream] = var
+        stale = [s for s in needs if s not in doc.get("trained", [])]
+        if stale:
+            raise ValueError(f"lists no {', '.join(stale)} model trained "
+                             f"against these stream models; run `train` "
+                             f"with this config")
     return world
 
 

@@ -95,11 +95,18 @@ def video_signal_features(utt: Utterance) -> np.ndarray:
                             image_distortion(utt.video)])
 
 
-def model_based_features(posts: dict[str, PosteriorSequence]) -> np.ndarray:
+def model_based_features(posts: dict[str, PosteriorSequence],
+                         measures: dict | None = None) -> np.ndarray:
     """(T, 18): six measures per stream, stream-major in STREAMS order --
     entropy, dispersion, posterior difference, temporal divergence, and
-    the entropy and dispersion ratios, which compare the streams."""
-    per_stream = [stream_measures(posts[s].frames) for s in STREAMS]
+    the entropy and dispersion ratios, which compare the streams.
+
+    ``measures`` maps a stream to its ``stream_measures`` when the caller
+    already has them; the other streams' are computed here.
+    """
+    measures = measures or {}
+    per_stream = [measures[s] if s in measures
+                  else stream_measures(posts[s].frames) for s in STREAMS]
     ent_ratio = entropy_ratio(
         np.stack([m["entropy"] for m in per_stream], axis=1))
     disp_ratio = dispersion_ratio(
@@ -112,14 +119,17 @@ def model_based_features(posts: dict[str, PosteriorSequence]) -> np.ndarray:
 
 
 def reliability_features(utt: Utterance, posts: dict[str, PosteriorSequence],
-                         video_feats: np.ndarray | None = None) -> np.ndarray:
+                         video_feats: np.ndarray | None = None,
+                         measures: dict | None = None) -> np.ndarray:
     """The (T, 41) per-frame reliability vector at the audio rate: the
     model-based, audio and video blocks side by side, the video block
-    (``video_signal_features``) repeated up to the audio rate."""
+    (``video_signal_features``) repeated up to the audio rate.
+    ``video_feats`` and ``measures`` (see ``model_based_features``) pass
+    in what the caller has already computed."""
     if video_feats is None:
         video_feats = video_signal_features(utt)
     frame_map = bresenham_map(utt.num_audio_frames, utt.num_video_frames)
-    return np.concatenate([model_based_features(posts),
+    return np.concatenate([model_based_features(posts, measures),
                            audio_signal_features(utt),
                            align_stream(video_feats, frame_map)], axis=1)
 
@@ -362,15 +372,24 @@ def _map_ordered(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def video_cache(world: World, utts: list[Utterance],
-                threads: int = 1) -> list[tuple[dict, np.ndarray]]:
-    """Per test utterance, what no audio condition changes: its VA and VS
-    posteriors and its video signal features."""
+@dataclass
+class VideoPart:
+    """What no audio condition changes in a test utterance."""
+    posts: dict[str, PosteriorSequence]  # VA and VS
+    measures: dict[str, dict]  # ``stream_measures`` of VA and VS
+    features: np.ndarray  # ``video_signal_features``
 
-    def one(utt: Utterance) -> tuple[dict, np.ndarray]:
+
+def video_cache(world: World, utts: list[Utterance],
+                threads: int = 1) -> list[VideoPart]:
+    """Per test utterance, its ``VideoPart``, computed once for all the
+    conditions."""
+
+    def one(utt: Utterance) -> VideoPart:
         posts = {s: compute_stream_posteriors(utt, world, s)
                  for s in ("VA", "VS")}
-        return posts, video_signal_features(utt)
+        measures = {s: stream_measures(p.frames) for s, p in posts.items()}
+        return VideoPart(posts, measures, video_signal_features(utt))
 
     return _map_ordered(one, utts, threads)
 
@@ -394,11 +413,12 @@ def condition_cells(world: World, utts: list[Utterance], cache: list,
     """
 
     def one(idx: int) -> Cell:
-        cached_posts, video_feats = cache[idx]
+        video = cache[idx]
         noisy = mix_test_noise(utts[idx], cond, kinds, seed, idx)
-        posts = stream_posterior_set(noisy, world, cached_posts)
+        posts = stream_posterior_set(noisy, world, video.posts)
         logs = [np.log(posts[s].frames) for s in STREAMS]
-        rel = reliability_features(noisy, posts, video_feats)
+        rel = reliability_features(noisy, posts, video.features,
+                                   video.measures)
         return Cell(noisy, posts, logs, rel)
 
     return _map_ordered(one, range(len(utts)), threads)

@@ -371,8 +371,14 @@ class Network:
         return {(i, n): p.copy() for i, n, p in self.parameters()}
 
     def set_state(self, state: dict):
+        """Load parameters saved by ``get_state``. The stored forward pass
+        and gradients belong to the replaced parameters, so they are
+        dropped; they also hold a whole batch's activations, which a
+        trained network would otherwise carry (and pickle) for nothing."""
         for i, name, _ in list(self.parameters()):
             self.layers[i].params[name] = state[(i, name)].copy()
+        for layer in self.layers:
+            layer._cache, layer.grads = None, {}
 
     def specs(self) -> list[dict]:
         return [layer.spec() for layer in self.layers]

@@ -381,6 +381,53 @@ class TestStreamModelsFromAnotherRun:
         assert str(target) in err and "another world" in err
 
 
+class TestStaleCheckpoints:
+    """The stream-models file lists the learned strategies trained against
+    its models, and fuse refuses the others."""
+
+    @staticmethod
+    def _config(tmp_path, name, strategies, **world):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(TINY, strategies=strategies,
+                                        world=dict(TINY["world"], **world))))
+        return ["--config", str(path)]
+
+    @staticmethod
+    def _listed(out):
+        doc = json.loads((out / "models" / "streams.seed0.json").read_text())
+        return doc["trained"]
+
+    def test_checkpoint_from_another_world_is_refused(self, tmp_path,
+                                                      capsys):
+        out = ["--out", str(tmp_path / "out")]
+        first = self._config(tmp_path, "a", ["ao", "dsw-ce"], temp_a=1.5)
+        assert main(["train"] + first + out) == 0
+        assert self._listed(tmp_path / "out") == ["dsw-ce"]
+        # new stream models, no learned strategy retrained against them
+        second = self._config(tmp_path, "b", ["ao", "static"], temp_a=3.0)
+        assert main(["train"] + second + out) == 0
+        assert self._listed(tmp_path / "out") == []
+        assert (tmp_path / "out" / "models" / "dsw-ce.seed0").exists()
+        capsys.readouterr()
+        stale = self._config(tmp_path, "c", ["ao", "dsw-ce"], temp_a=3.0)
+        assert main(["fuse"] + stale + out) == 1
+        err = capsys.readouterr().err
+        target = tmp_path / "out" / "models" / "streams.seed0.json"
+        assert str(target) in err and "dsw-ce" in err and "`train`" in err
+        assert not (tmp_path / "out" / "fused").exists()
+
+    def test_retraining_the_same_models_extends_the_list(self, tmp_path):
+        out = ["--out", str(tmp_path / "out")]
+        both = self._config(tmp_path, "a", ["ao", "dsw-ce", "dsw-mse"])
+        assert main(["train", "--strategy", "dsw-ce"] + both + out) == 0
+        assert main(["train", "--strategy", "dsw-mse"] + both + out) == 0
+        assert self._listed(tmp_path / "out") == ["dsw-ce", "dsw-mse"]
+        plain = self._config(tmp_path, "b", ["ao", "static"])
+        assert main(["train"] + plain + out) == 0
+        assert self._listed(tmp_path / "out") == ["dsw-ce", "dsw-mse"]
+        assert main(["fuse", "--snr", "clean"] + both + out) == 0
+
+
 # a learned fuser of each kind, for damaging their checkpoints
 LEARNED = dict(TINY, strategies=["ao", "dsw-ce", "dfn-lstm"],
                dfn={"widths": [16, 8, 8], "hidden": 8, "scale": 1.0})

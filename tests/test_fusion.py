@@ -1,13 +1,17 @@
 """Tests for the stream integration strategies and their training loops."""
 
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avfusion.core import AlignmentTarget, StreamWeights, normalize_posteriors
 from avfusion.corpus import WorldConfig, build_world, sample_utterance
 from avfusion.decode import build_decoding_graph
 from avfusion.experiment import build_training_items
+from avfusion import fusion
 from avfusion.fusion import (
     DfnModel,
     WeightEstimator,
@@ -244,6 +248,122 @@ class TestOracleWeights:
             oracle_weights(random_log_posts(rng, 2, 2, 2),
                            AlignmentTarget(np.zeros(2, dtype=int), 2),
                            mode="concave")
+
+
+def _frame_objective(stacked, targets, lam):
+    """Per-frame renormalized CE and its gradient g = -l* + E_q[lp]."""
+    t_len = stacked.shape[1]
+    lp = stacked.transpose(1, 0, 2)
+    lstar = stacked[:, np.arange(t_len), targets].T
+    fused = np.einsum("tm,tms->ts", lam, lp)
+    mx = fused.max(axis=1, keepdims=True)
+    q = np.exp(fused - mx)
+    z = q.sum(axis=1, keepdims=True)
+    f = -(lam * lstar).sum(axis=1) + np.log(z[:, 0]) + mx[:, 0]
+    return f, -lstar + np.einsum("ts,tms->tm", q / z, lp)
+
+
+def _eg_reference(stacked, targets, tol=1e-8, max_iter=20000):
+    """The exponentiated-gradient solver the Newton solver replaced, kept
+    here as the reference it must not lose to: per-frame multiplicative
+    steps with backtracking until ||lam * (g - <lam, g>)|| < tol."""
+    t_len, m = stacked.shape[1], stacked.shape[0]
+    lam = np.full((t_len, m), 1.0 / m)
+    f_cur, g = _frame_objective(stacked, targets, lam)
+    eta = np.ones(t_len)
+    for _ in range(max_iter):
+        centered = g - (lam * g).sum(axis=1, keepdims=True)
+        live = np.linalg.norm(lam * centered, axis=1) >= tol
+        if not live.any():
+            break
+        scale = eta / np.maximum(np.abs(centered).max(axis=1), 1e-300)
+        cand = np.maximum(lam * np.exp(-scale[:, None] * centered), 1e-300)
+        cand /= cand.sum(axis=1, keepdims=True)
+        f_new, g_new = _frame_objective(stacked, targets, cand)
+        accept = live & (f_new <= f_cur + 1e-15 * (1.0 + np.abs(f_cur)))
+        lam = np.where(accept[:, None], cand, lam)
+        g = np.where(accept[:, None], g_new, g)
+        f_cur = np.where(accept, np.minimum(f_new, f_cur), f_cur)
+        eta = np.where(accept, np.minimum(eta * 1.3, 50.0),
+                       np.where(live, eta * 0.5, eta))
+    return lam
+
+
+@st.composite
+def _oracle_frames(draw):
+    """(M, T, S) stream log-posteriors and (T,) targets: 2 or 3 streams,
+    sometimes two of them identical, sometimes one whose target posterior
+    sits at the floor, so that the optimum lies on an edge or a vertex."""
+    m = draw(st.integers(2, 3))
+    t_len = draw(st.integers(1, 8))
+    s = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alpha = draw(st.sampled_from([0.1, 0.5, 1.0, 5.0]))
+    posts = normalize_posteriors(rng.dirichlet(np.full(s, alpha),
+                                               size=(m, t_len)))
+    targets = rng.integers(0, s, t_len)
+    if draw(st.booleans()):
+        posts[1] = posts[0]
+    weak = draw(st.sampled_from([None] + list(range(m))))
+    if weak is not None:
+        posts[weak, np.arange(t_len), targets] = 0.0
+        posts[weak] = normalize_posteriors(posts[weak])
+    return np.log(posts), targets
+
+
+class TestNewtonSolverProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_oracle_frames())
+    def test_simplex_kkt_and_no_worse_than_eg(self, frames):
+        stacked, targets = frames
+        lam, _ = fusion._newton_minimize(stacked, targets)
+        assert np.all(lam >= 0.0)
+        npt.assert_allclose(lam.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        f, g = _frame_objective(stacked, targets, lam)
+        centered = g - (lam * g).sum(axis=1, keepdims=True)
+        assert np.all(np.linalg.norm(lam * centered, axis=1) <= 1e-7)
+        assert np.all(np.where(lam == 0.0, centered, 0.0) >= -1e-7)
+        f_eg, _ = _frame_objective(stacked, targets,
+                                   _eg_reference(stacked, targets))
+        assert np.all(f <= f_eg + 1e-10)
+        # each frame solved alone gets the same bits
+        for t in range(stacked.shape[1]):
+            alone, _ = fusion._newton_minimize(stacked[:, t:t + 1],
+                                               targets[t:t + 1])
+            assert alone.tobytes() == lam[t:t + 1].tobytes()
+
+    def test_seeded_batch_converges_in_30_iterations(self):
+        # 6 batches of 340 frames: 2 or 3 streams, flat to sharp posteriors,
+        # identical streams, and a stream that misses every target
+        rng = np.random.default_rng(25)
+        batches = []
+        for m in (2, 3):
+            for alpha in (0.1, 1.0, 10.0):
+                posts = normalize_posteriors(
+                    rng.dirichlet(np.full(12, alpha), size=(m, 340)))
+                targets = rng.integers(0, 12, 340)
+                if alpha == 1.0:
+                    posts[1] = posts[0]
+                if alpha == 10.0:
+                    posts[0, np.arange(340), targets] = 0.0
+                    posts[0] = normalize_posteriors(posts[0])
+                batches.append((np.log(posts), targets))
+        for stacked, targets in batches:
+            _, iters = fusion._newton_minimize(stacked, targets)
+            assert iters.max() <= 30
+
+    def test_iteration_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(
+            fusion, "_newton_minimize",
+            functools.partial(fusion._newton_minimize, max_iter=1))
+        rng = np.random.default_rng(26)
+        cells = [(random_log_posts(rng, 3, t_len, 5),
+                  AlignmentTarget(rng.integers(0, 5, t_len), 5))
+                 for t_len in (4, 6)]
+        with pytest.warns(RuntimeWarning,
+                          match=r"iteration cap on \d+ of 10 frames"):
+            oracle_weights_batch([p for p, _ in cells],
+                                 [a for _, a in cells])
 
 
 def _estimator_items(rng, n_items, t_len=12, rel_dim=5, s=4,

@@ -428,6 +428,19 @@ class TestTraining:
         npt.assert_allclose(evaluate(net, val, ce_loss), hist["best_val"],
                             rtol=0, atol=1e-12)
 
+    def test_trained_network_carries_no_batch_buffers(self):
+        # restoring the best parameters drops the last pass's activations
+        # and gradients, which belong to other parameters
+        net = _toy_net()
+        cfg = TrainConfig(lr0=0.05, check_interval=10, patience=50,
+                          max_steps=40, batch_size=4)
+        train(net, _toy_classification(12, 0), _toy_classification(4, 1),
+              cfg, ce_loss)
+        assert all(layer._cache is None and layer.grads == {}
+                   for layer in net.layers)
+        with pytest.raises(RuntimeError, match="without a stored forward"):
+            net.backward(np.ones((1, 6, 2)))
+
     def test_lr_decays_on_plateau(self):
         net = _toy_net()
         cfg = TrainConfig(lr0=0.02, lr_decay=0.8, check_interval=5,

@@ -8,6 +8,7 @@ import pytest
 from avfusion.align import bresenham_map
 from avfusion.core import STREAMS, PosteriorSequence
 from avfusion.corpus import WorldConfig, build_world, mix_noise, sample_utterance
+from avfusion import experiment
 from avfusion.experiment import reliability_features, stream_posterior_set
 from avfusion.model_reliability import (
     dispersion,
@@ -15,6 +16,7 @@ from avfusion.model_reliability import (
     entropy,
     entropy_ratio,
     posterior_difference,
+    stream_measures,
     temporal_divergence,
 )
 from avfusion.signal_reliability import (
@@ -509,3 +511,32 @@ class TestReliabilityFeatures:
         short = dict(posts, VS=PosteriorSequence("VS", posts["VS"].frames[1:]))
         with pytest.raises(ValueError):
             reliability_features(utt, short)
+
+
+class TestCachedVideoMeasures:
+    """``video_cache`` computes the VA and VS measures once per utterance;
+    a condition's cells compute only the audio stream's, and their
+    reliability vectors are those computed from scratch, bit for bit."""
+
+    def test_cells_reuse_the_video_measures(self, monkeypatch):
+        world = build_world(WorldConfig(vocab_size=3), seed=0)
+        utts = [sample_utterance(world, 2 + i, seed=40 + i) for i in range(3)]
+        measured = []
+
+        def counted(posteriors):
+            measured.append(posteriors.shape)
+            return stream_measures(posteriors)
+
+        monkeypatch.setattr(experiment, "stream_measures", counted)
+        cache = experiment.video_cache(world, utts)
+        assert len(measured) == 2 * len(utts)
+        for cond in (-6.0, None):
+            measured.clear()
+            cells = experiment.condition_cells(world, utts, cache, cond,
+                                               ["white", "babble"], 0)
+            assert len(measured) == len(utts)
+            for cell in cells:
+                fresh = reliability_features(cell.utt,
+                                             stream_posterior_set(cell.utt,
+                                                                  world))
+                assert cell.rel.tobytes() == fresh.tobytes()
