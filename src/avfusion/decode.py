@@ -109,6 +109,8 @@ def _emissions(fused: FusedLogPosterior | np.ndarray,
     if lp.ndim != 2 or lp.shape[1] != graph.num_states:
         raise ValueError(f"emission matrix shape {lp.shape} does not match "
                          f"{graph.num_states} graph states")
+    if lp.shape[0] == 0:
+        raise ValueError("emission matrix has no frames")
     return lp
 
 
@@ -120,21 +122,34 @@ def viterbi_decode(fused: FusedLogPosterior | np.ndarray,
 
 def viterbi_decode_batch(fused_list: list,
                          graph: DecodingGraph) -> list[DecodeResult]:
-    """``viterbi_decode`` of several equally long emission matrices at once.
+    """``viterbi_decode`` of several emission matrices at once, in input
+    order; their lengths may differ.
 
-    Each matrix runs its own recurrence along a leading axis, so the results
-    equal separate decodes while the per-frame overhead is paid once.
+    Each matrix runs its own recurrence along a leading axis, longest
+    first. A sequence that has ended keeps its scores, and its
+    back-pointers hold each state in place, so one backtrace serves every
+    sequence and each path is then cut to its own length. Every operation
+    stays within one sequence, so the results equal separate decodes bit
+    for bit while the per-frame overhead is paid once.
     """
-    em = np.stack([_emissions(f, graph) for f in fused_list])
-    n_dec, t_len, s = em.shape
+    mats = [_emissions(f, graph) for f in fused_list]
+    lengths = np.array([m.shape[0] for m in mats])
+    order = np.argsort(-lengths, kind="stable")
+    n_dec, t_len, s = len(mats), int(lengths.max()), graph.num_states
+    em = np.zeros((t_len, n_dec, s))
+    for n, i in enumerate(order):
+        em[:lengths[i], n] = mats[i]
+    # sequences still running at frame t are the first active[t]
+    active = (lengths[order][None, :] > np.arange(t_len)[:, None]).sum(axis=1)
     has_prev = graph.chain_prev >= 0
     prev_idx = np.where(has_prev, graph.chain_prev, 0)
 
     delta = np.full((n_dec, s), -np.inf)
     delta[:, graph.initial_states] = graph.lm_init
-    delta += em[:, 0]
-    bp_prev = np.full((t_len, n_dec, s), -1, dtype=int)
-    bp_arc = np.zeros((t_len, n_dec, s), dtype=np.int8)
+    delta += em[0]
+    bp_prev = np.empty((t_len, n_dec, s), dtype=np.int32)
+    bp_prev[:] = np.arange(s)  # an ended sequence stays where it is
+    bp_arc = np.full((t_len, n_dec, s), ARC_LOOP, dtype=np.int8)
 
     big = s + 1
     # candidate predecessors per arc type; only the entry row changes
@@ -143,38 +158,42 @@ def viterbi_decode_batch(fused_list: list,
     cand_prev[ARC_CHAIN] = prev_idx
     cand_sc = np.full((3, n_dec, s), -np.inf)
     for t in range(1, t_len):
-        cand_sc[ARC_LOOP] = delta + graph.log_loop
-        cand_sc[ARC_CHAIN] = np.where(
-            has_prev, delta[:, prev_idx] + graph.log_leave, -np.inf)
-        entry_mat = delta[:, graph.final_states, None] + graph.log_leave \
-            + graph.lm_entry  # (N, V from, V to)
-        cand_sc[ARC_ENTRY, :, graph.initial_states] = \
-            entry_mat.max(axis=1).T
-        cand_prev[ARC_ENTRY, :, graph.initial_states] = \
-            graph.final_states[entry_mat.argmax(axis=1)].T
-        best = cand_sc.max(axis=0)
+        k = active[t]
+        run = delta[:k]
+        sc, pv = cand_sc[:, :k], cand_prev[:, :k]
+        sc[ARC_LOOP] = run + graph.log_loop
+        sc[ARC_CHAIN] = np.where(
+            has_prev, run[:, prev_idx] + graph.log_leave, -np.inf)
+        entry_mat = run[:, graph.final_states, None] + graph.log_leave \
+            + graph.lm_entry  # (k, V from, V to)
+        sc[ARC_ENTRY][:, graph.initial_states] = entry_mat.max(axis=1)
+        pv[ARC_ENTRY][:, graph.initial_states] = \
+            graph.final_states[entry_mat.argmax(axis=1)]
+        best = sc.max(axis=0)
         reachable = np.isfinite(best)
-        masked_prev = np.where(cand_sc == best, cand_prev, big)
-        bp_arc[t] = masked_prev.argmin(axis=0)
-        bp_prev[t] = np.where(reachable, masked_prev.min(axis=0), -1)
-        delta = np.where(reachable, best + em[:, t], -np.inf)
+        masked_prev = np.where(sc == best, pv, big)
+        bp_arc[t, :k] = masked_prev.argmin(axis=0)
+        bp_prev[t, :k] = np.where(reachable, masked_prev.min(axis=0), -1)
+        delta[:k] = np.where(reachable, best + em[t, :k], -np.inf)
 
-    results = []
-    for n in range(n_dec):
-        end_state = int(np.argmax(delta[n]))
-        states = np.empty(t_len, dtype=int)
-        arcs = np.empty(t_len, dtype=np.int8)
-        states[-1] = end_state
-        for t in range(t_len - 1, 0, -1):
-            arcs[t] = bp_arc[t, n, states[t]]
-            states[t - 1] = bp_prev[t, n, states[t]]
-        arcs[0] = ARC_ENTRY
-        words = [graph.words[graph.word_of_state[states[0]]]]
-        for t in range(1, t_len):
-            if arcs[t] == ARC_ENTRY:
-                words.append(graph.words[graph.word_of_state[states[t]]])
-        results.append(DecodeResult(words=words, states=states, arcs=arcs,
-                                    log_score=float(delta[n, end_state])))
+    rows = np.arange(n_dec)
+    end_states = delta.argmax(axis=1)
+    states = np.empty((t_len, n_dec), dtype=int)
+    arcs = np.empty((t_len, n_dec), dtype=np.int8)
+    states[-1] = end_states
+    for t in range(t_len - 1, 0, -1):
+        arcs[t] = bp_arc[t, rows, states[t]]
+        states[t - 1] = bp_prev[t, rows, states[t]]
+    arcs[0] = ARC_ENTRY
+
+    results: list = [None] * n_dec
+    for n, i in enumerate(order):
+        path = states[:lengths[i], n].copy()
+        path_arcs = arcs[:lengths[i], n].copy()
+        starts = path[path_arcs == ARC_ENTRY]
+        words = [graph.words[w] for w in graph.word_of_state[starts]]
+        results[i] = DecodeResult(words=words, states=path, arcs=path_arcs,
+                                  log_score=float(delta[n, end_states[n]]))
     return results
 
 

@@ -443,9 +443,6 @@ def _fuse_for_strategy(strategy: str, cell: Cell, world: World,
         return dynamic_fuse(logs, oracle)
     if strategy in ("dsw-mse", "dsw-ce"):
         return dynamic_fuse(logs, models[strategy].predict(cell.rel))
-    if strategy in ("dfn-lstm", "dfn-blstm"):
-        return dfn_fuse([cell.posts[s].frames for s in STREAMS], cell.rel,
-                        models[strategy])
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -453,16 +450,27 @@ def fuse_cells(cells: list[Cell], strategies: list[str], world: World,
                models: dict, oracle_mode: str) -> list[list]:
     """Fused log-posteriors of a condition's cells, indexed [cell][strategy].
 
-    The oracle weights of all the cells come from one solver run.
+    The oracle weights of all the cells come from one solver run, and each
+    DFN fuses all the cells in one ``dfn_fuse`` call, whose stacked rows
+    are split back by the cells' lengths.
     """
     oracle = [None] * len(cells)
     if "oracle" in strategies:
         oracle = oracle_weights_batch([cell.logs for cell in cells],
                                       [cell.utt.alignment for cell in cells],
                                       mode=oracle_mode)
-    return [[_fuse_for_strategy(strategy, cell, world, models, lam)
+    dfn = {}
+    bounds = np.cumsum([cell.rel.shape[0] for cell in cells])[:-1]
+    for strategy in strategies:
+        if strategy in ("dfn-lstm", "dfn-blstm"):
+            fused = dfn_fuse(
+                [[cell.posts[s].frames for s in STREAMS] for cell in cells],
+                [cell.rel for cell in cells], models[strategy])
+            dfn[strategy] = np.split(fused.frames, bounds)
+    return [[dfn[strategy][i] if strategy in dfn else
+             _fuse_for_strategy(strategy, cell, world, models, oracle[i])
              for strategy in strategies]
-            for cell, lam in zip(cells, oracle)]
+            for i, cell in enumerate(cells)]
 
 
 @single_blas_thread()
@@ -500,10 +508,14 @@ def run_sweep(cfg: dict, models_out: dict | None = None) -> SweepResult:
                                     seed)
             fused_cells = fuse_cells(cells, strategies, world, models,
                                      oracle_mode)
-            for cell, fused in zip(cells, fused_cells):
+            # one padded decode for every cell and strategy of the condition
+            decoded = viterbi_decode_batch(
+                [f for fused in fused_cells for f in fused], graph)
+            for i, cell in enumerate(cells):
                 utt = cell.utt
-                decoded = viterbi_decode_batch(fused, graph)
-                for strategy, dec in zip(strategies, decoded):
+                per_strategy = decoded[i * len(strategies):
+                                       (i + 1) * len(strategies)]
+                for strategy, dec in zip(strategies, per_strategy):
                     hyp = dec.words
                     report = wer(utt.words, hyp)
                     per_cell[strategy][label].append(report)

@@ -12,6 +12,11 @@ Newton: Newton steps on the face of the simplex the positive weights span
 posterior), a ratio test that drops a weight to exactly 0 at the boundary,
 and release of the zero weight that most violates the KKT conditions once
 the face is solved. All frames of a batch iterate together, vectorized.
+
+DFN inference likewise takes many utterances per call (a whole condition
+in the sweep): they run as length-sorted, padded and masked batches
+through the network's cache-free inference pass, and come back as one
+stack of rows in input order.
 """
 
 from __future__ import annotations
@@ -295,7 +300,7 @@ class WeightEstimator:
     def predict(self, reliability: np.ndarray) -> StreamWeights:
         x = (np.asarray(reliability, dtype=np.float64) - self.input_mean) \
             / self.input_std
-        log_lam = self.net.forward(x[None], train=False)[0]
+        log_lam = self.net.infer(x[None])[0]
         return StreamWeights(np.exp(log_lam))
 
     def save(self, path: str) -> None:
@@ -498,16 +503,48 @@ def dfn_input(posteriors: list[np.ndarray], reliability: np.ndarray) -> np.ndarr
     return np.concatenate(mats + [rel], axis=1)
 
 
-def dfn_fuse(posteriors: list[np.ndarray], reliability: np.ndarray,
+DFN_BATCH_FRAMES = 1024  # padded frames per inference batch, at most
+
+
+def dfn_fuse(posteriors: list[list[np.ndarray]],
+             reliability: list[np.ndarray],
              model: DfnModel) -> FusedLogPosterior:
-    """Forward pass of the DFN; rows are log-distributions by construction."""
-    x = dfn_input(posteriors, reliability)
+    """DFN forward pass over many utterances, given per utterance its
+    per-stream linear posteriors and its (T_i, R) reliability matrix.
+
+    Utterances are sorted by length and run as right-padded, masked
+    batches of at most ``DFN_BATCH_FRAMES`` padded frames (an utterance
+    longer than that runs alone), through the cache-free
+    ``Network.infer``. The result stacks every utterance's rows in input
+    order; rows are log-distributions by construction. A row equals the
+    utterance's own unpadded pass up to BLAS rounding (about 1e-15), since
+    masked frames never reach valid ones.
+    """
     expected = dfn_input_dim(model.num_states, model.rel_dim)
-    if x.shape[1] != expected:
-        raise ValueError(f"DFN expects {expected} input features, "
-                         f"got {x.shape[1]}")
-    x = (x - model.input_mean) / model.input_std
-    return FusedLogPosterior(model.net.forward(x[None], train=False)[0])
+    inputs = []
+    for posts, rel in zip(posteriors, reliability, strict=True):
+        x = dfn_input(posts, rel)
+        if x.shape[1] != expected:
+            raise ValueError(f"DFN expects {expected} input features, "
+                             f"got {x.shape[1]}")
+        inputs.append((x - model.input_mean) / model.input_std)
+    if not inputs:
+        raise ValueError("no utterances to fuse")
+    lengths = [x.shape[0] for x in inputs]
+    rows: list = [None] * len(inputs)
+    # a stable sort, longest first: each batch is as long as its first
+    order = sorted(range(len(inputs)), key=lambda i: -lengths[i])
+    start = 0
+    while start < len(order):
+        width = lengths[order[start]]
+        size = max(1, DFN_BATCH_FRAMES // max(width, 1))
+        group = order[start:start + size]
+        x, mask = nn.pad_batch([inputs[i] for i in group])
+        out = model.net.infer(x, mask=mask)
+        for b, i in enumerate(group):
+            rows[i] = out[b, :lengths[i]]
+        start += size
+    return FusedLogPosterior(np.concatenate(rows))
 
 
 def train_dfn(train_items: list[dict], val_items: list[dict], variant: str,

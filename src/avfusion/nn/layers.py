@@ -4,7 +4,8 @@ Inputs are (B, T, D) float64 arrays with an optional (B, T) mask of 0/1.
 Recurrent layers gate their state updates with the mask, so right-padded
 frames never leak into valid ones (in either BLSTM direction). Forward
 caches whatever backward needs; backward returns the input gradient and
-fills each layer's ``grads`` dict.
+fills each layer's ``grads`` dict. ``Network.infer`` is the inference
+pass: the same outputs, with each layer's cache dropped as it returns.
 """
 
 from __future__ import annotations
@@ -353,6 +354,18 @@ class Network:
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             out = layer.forward(out, mask=mask, train=train)
+        return out
+
+    def infer(self, x, mask=None):
+        """``forward(train=False)`` without the stored passes backward
+        needs: each layer's cache is dropped as soon as the layer returns,
+        so a deep network holds one layer's stored pass at a time rather
+        than all of them. Outputs equal ``forward``'s bit for bit; use
+        ``forward`` where a backward pass follows."""
+        out = np.asarray(x, dtype=np.float64)
+        for layer in self.layers:
+            out = layer.forward(out, mask=mask, train=False)
+            layer._cache = None
         return out
 
     def backward(self, dout):

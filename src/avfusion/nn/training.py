@@ -77,7 +77,7 @@ def evaluate(net, dataset, loss_fn, batch_size: int = 10) -> float:
     for start in range(0, len(dataset), batch_size):
         idx = range(start, min(start + batch_size, len(dataset)))
         x, tgt, mask = _batch(dataset, idx)
-        out = net.forward(x, mask=mask, train=False)
+        out = net.infer(x, mask=mask)
         loss, _ = loss_fn(out, tgt, mask)
         n = float(mask.sum())
         total += loss * n

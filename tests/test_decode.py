@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avfusion.decode import (
     ARC_ENTRY,
@@ -129,6 +130,30 @@ class TestViterbi:
             npt.assert_array_equal(got.states, alone.states)
             npt.assert_array_equal(got.arcs, alone.arcs)
             assert got.log_score == alone.log_score
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 120), min_size=1, max_size=12),
+           tie_length=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1))
+    def test_padded_batch_equals_separate_decodes(self, lengths, tie_length,
+                                                  seed):
+        rng = np.random.default_rng(seed)
+        g = toy_graph(chains=((0,), (1, 2), (3, 4, 5)), seed=seed % 97,
+                      mean_duration=2.0 + seed % 3)
+        ems = [np.log(rng.dirichlet(np.ones(6), size=t)) for t in lengths]
+        ems.insert(int(rng.integers(len(ems) + 1)),
+                   np.zeros((tie_length, 6)))  # all ties
+        for em, got in zip(ems, viterbi_decode_batch(ems, g)):
+            alone = viterbi_decode(em, g)
+            assert got.words == alone.words
+            npt.assert_array_equal(got.states, alone.states)
+            npt.assert_array_equal(got.arcs, alone.arcs)
+            assert got.states.shape == got.arcs.shape == (len(em),)
+            assert got.log_score == alone.log_score
+
+    def test_empty_emissions_rejected(self):
+        g = toy_graph()
+        with pytest.raises(ValueError, match="no frames"):
+            viterbi_decode_batch([np.zeros((3, 3)), np.zeros((0, 3))], g)
 
     def test_dimension_mismatch(self):
         g = toy_graph()

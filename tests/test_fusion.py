@@ -499,9 +499,31 @@ class TestDfn:
         net = nn.build_network(dfn_specs(4, 5, "lstm", scale=0.05), rng=5)
         model = DfnModel(net, "lstm", 4, 5, np.zeros(17), np.ones(17))
         posts = [rng.dirichlet(np.ones(4), size=6) for _ in range(3)]
-        fused = dfn_fuse(posts, rng.standard_normal((6, 5)), model)
+        fused = dfn_fuse([posts], [rng.standard_normal((6, 5))], model)
         npt.assert_allclose(np.exp(fused.frames).sum(axis=1), 1.0,
                             atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["lstm", "blstm"])
+    def test_batched_rows_match_one_utterance_calls(self, variant):
+        rng = np.random.default_rng(26)
+        net = nn.build_network(dfn_specs(4, 5, variant, scale=0.05), rng=8)
+        model = DfnModel(net, variant, 4, 5, rng.standard_normal(17),
+                         rng.uniform(0.5, 2.0, 17))
+        # shuffled lengths with a 1-frame utterance and one longer than a
+        # batch, over enough frames to fill several batches
+        lengths = rng.permutation(np.concatenate([
+            [1, fusion.DFN_BATCH_FRAMES + 37], rng.integers(2, 150, 30)]))
+        assert lengths.sum() > 3 * fusion.DFN_BATCH_FRAMES
+        posts = [[rng.dirichlet(np.ones(4), size=t) for _ in range(3)]
+                 for t in lengths]
+        rels = [rng.standard_normal((t, 5)) for t in lengths]
+        net.forward(rng.standard_normal((1, 3, 17)))  # leaves caches behind
+        fused = dfn_fuse(posts, rels, model)
+        assert all(layer._cache is None for layer in net.layers)
+        assert fused.frames.shape == (lengths.sum(), 4)
+        alone = np.concatenate([dfn_fuse([p], [r], model).frames
+                                for p, r in zip(posts, rels)])
+        npt.assert_allclose(fused.frames, alone, rtol=0, atol=1e-12)
 
     def test_zero_final_dense_gives_uniform(self):
         rng = np.random.default_rng(22)
@@ -511,7 +533,7 @@ class TestDfn:
         final.params["b"] = np.zeros_like(final.params["b"])
         model = DfnModel(net, "lstm", 4, 5, np.zeros(17), np.ones(17))
         posts = [rng.dirichlet(np.ones(4), size=3) for _ in range(3)]
-        fused = dfn_fuse(posts, rng.standard_normal((3, 5)), model)
+        fused = dfn_fuse([posts], [rng.standard_normal((3, 5))], model)
         npt.assert_allclose(fused.frames, -np.log(4.0), atol=1e-12)
 
     def test_layout_mismatch_rejected(self):
@@ -520,7 +542,7 @@ class TestDfn:
         model = DfnModel(net, "lstm", 4, 5, np.zeros(17), np.ones(17))
         posts = [rng.dirichlet(np.ones(4), size=3) for _ in range(3)]
         with pytest.raises(ValueError, match="input features"):
-            dfn_fuse(posts, rng.standard_normal((3, 9)), model)
+            dfn_fuse([posts], [rng.standard_normal((3, 9))], model)
 
     def test_training_beats_uniform_and_reproduces(self, tmp_path):
         rng = np.random.default_rng(24)
@@ -540,8 +562,8 @@ class TestDfn:
         back = DfnModel.load(str(tmp_path / "dfn"))
         it = val_items[0]
         npt.assert_allclose(
-            dfn_fuse(it["posteriors"], it["reliability"], back).frames,
-            dfn_fuse(it["posteriors"], it["reliability"], model).frames,
+            dfn_fuse([it["posteriors"]], [it["reliability"]], back).frames,
+            dfn_fuse([it["posteriors"]], [it["reliability"]], model).frames,
             atol=1e-6)
 
     def test_empty_split_rejected(self):

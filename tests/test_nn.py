@@ -101,6 +101,28 @@ class TestForward:
         npt.assert_array_equal(out[0, 4], out[0, 3])
         npt.assert_array_equal(out[0, 5], out[0, 3])
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_infer_equals_inference_forward_and_keeps_no_cache(self, masked):
+        net = build_network([
+            {"kind": "dense", "in": 3, "out": 6}, {"kind": "relu"},
+            {"kind": "layer_norm", "dim": 6}, {"kind": "dropout", "p": 0.3},
+            {"kind": "lstm", "in": 6, "hidden": 4},
+            {"kind": "blstm", "in": 4, "hidden": 3},
+            {"kind": "dense", "in": 6, "out": 5}, {"kind": "log_softmax"},
+        ], rng=12)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 7, 3))
+        mask = None
+        if masked:
+            mask = np.ones((3, 7))
+            mask[1, 4:] = 0.0
+            mask[2, 1:] = 0.0
+        want = net.forward(x, mask=mask, train=False)
+        assert any(layer._cache is not None for layer in net.layers)
+        got = net.infer(x, mask=mask)
+        npt.assert_array_equal(got, want)
+        assert all(layer._cache is None for layer in net.layers)
+
 
 class TestBackward:
     def test_dense_weight_gradient_is_outer_product(self):
