@@ -112,21 +112,19 @@ class StreamWeights:
     """Per-frame weight vectors, one row per frame, one column per stream."""
 
     weights: np.ndarray  # T x M
-    simplex: bool = True
 
     def __post_init__(self):
-        if self.simplex:
-            w = self.weights
-            if np.any(w < -1e-12):
-                raise ValueError("simplex weights must be nonnegative")
-            sums = w.sum(axis=-1)
-            if np.any(np.abs(sums - 1.0) > 1e-9):
-                raise ValueError("simplex weights must sum to 1 per frame")
+        w = self.weights
+        if np.any(w < -1e-12):
+            raise ValueError("simplex weights must be nonnegative")
+        sums = w.sum(axis=-1)
+        if np.any(np.abs(sums - 1.0) > 1e-9):
+            raise ValueError("simplex weights must sum to 1 per frame")
 
 
 @dataclass(frozen=True)
 class AlignmentTarget:
-    """Ground-truth state index per frame, with one-hot expansion on demand."""
+    """Ground-truth state index per frame."""
 
     states: np.ndarray  # T ints
     num_states: int
@@ -141,11 +139,6 @@ class AlignmentTarget:
     @property
     def num_frames(self) -> int:
         return self.states.shape[0]
-
-    def one_hot(self) -> np.ndarray:
-        out = np.zeros((self.states.shape[0], self.num_states))
-        out[np.arange(self.states.shape[0]), self.states] = 1.0
-        return out
 
 
 def normalize_posteriors(raw: np.ndarray, floor: float = POSTERIOR_FLOOR) -> np.ndarray:

@@ -153,8 +153,6 @@ class Utterance:
     video_clean: np.ndarray
     confidence: np.ndarray  # (Vf,) synthetic tracker confidence
     true_snr: np.ndarray  # (T,) per audio frame, dB
-    snr_db: float | None = None  # None = clean
-    noise_kind: str | None = None
     noise_component: np.ndarray | None = None
     distortions: list[VideoDistortion] = field(default_factory=list)
     # not an init field, so ``replace`` (``mix_noise``) starts a new
@@ -461,7 +459,7 @@ def mix_noise(utterance: Utterance, noise_kind: str, snr_db: float | None,
     """
     if snr_db is None:
         return replace(utterance, audio=utterance.audio_clean.copy(),
-                       noise_component=None, snr_db=None, noise_kind=None,
+                       noise_component=None,
                        true_snr=np.full(utterance.num_audio_frames, 40.0))
     if noise_kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
@@ -478,7 +476,7 @@ def mix_noise(utterance: Utterance, noise_kind: str, snr_db: float | None,
     noise = noise * scale
     track = snr_db_from_energies(frame_energy(clean), frame_energy(noise))
     return replace(utterance, audio=clean + noise, noise_component=noise,
-                   snr_db=float(snr_db), noise_kind=noise_kind, true_snr=track)
+                   true_snr=track)
 
 
 def _box_blur(img: np.ndarray, width: int) -> np.ndarray:

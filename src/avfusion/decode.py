@@ -5,8 +5,7 @@ The decoding graph keeps one left-to-right chain per word. Each state
 self-loops with probability 1 - 1/mean_duration; leaving a word-final state
 follows a bigram LM arc whose probabilities are renormalized after LM-scale
 exponentiation, so every node's outgoing mass stays 1. Emission scores are
-the fused log-pseudo-posteriors used directly (an optional uniform-prior
-division is available but changes nothing for the uniform prior).
+the fused log-pseudo-posteriors used directly.
 
 Ties are broken deterministically: among equal-score predecessors the lowest
 state index wins, and on a full tie the arc preference is self-loop, then
@@ -50,10 +49,6 @@ class DecodingGraph:
             self.word_of_state[chain] = w
             for a, b in zip(chain, chain[1:]):
                 self.chain_prev[b] = a
-
-    @property
-    def num_words(self) -> int:
-        return len(self.words)
 
 
 def _renorm_log(log_probs: np.ndarray, scale: float) -> np.ndarray:
@@ -249,10 +244,6 @@ class WerReport:
     @property
     def errors(self) -> int:
         return self.substitutions + self.deletions + self.insertions
-
-    @property
-    def empty_reference(self) -> bool:
-        return self.ref_length == 0
 
     @property
     def wer(self) -> float:

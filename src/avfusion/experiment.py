@@ -95,18 +95,12 @@ def video_signal_features(utt: Utterance) -> np.ndarray:
                             image_distortion(utt.video)])
 
 
-def model_based_features(posts: dict[str, PosteriorSequence],
-                         measures: dict | None = None) -> np.ndarray:
+def model_based_features(measures: dict[str, dict]) -> np.ndarray:
     """(T, 18): six measures per stream, stream-major in STREAMS order --
     entropy, dispersion, posterior difference, temporal divergence, and
     the entropy and dispersion ratios, which compare the streams.
-
-    ``measures`` maps a stream to its ``stream_measures`` when the caller
-    already has them; the other streams' are computed here.
-    """
-    measures = measures or {}
-    per_stream = [measures[s] if s in measures
-                  else stream_measures(posts[s].frames) for s in STREAMS]
+    ``measures`` maps each stream to its ``stream_measures``."""
+    per_stream = [measures[s] for s in STREAMS]
     ent_ratio = entropy_ratio(
         np.stack([m["entropy"] for m in per_stream], axis=1))
     disp_ratio = dispersion_ratio(
@@ -118,32 +112,53 @@ def model_based_features(posts: dict[str, PosteriorSequence],
                     disp_ratio[:, i])])
 
 
-def reliability_features(utt: Utterance, posts: dict[str, PosteriorSequence],
-                         video_feats: np.ndarray | None = None,
-                         measures: dict | None = None) -> np.ndarray:
+def reliability_features(utt: Utterance, measures: dict[str, dict],
+                         video_feats: np.ndarray) -> np.ndarray:
     """The (T, 41) per-frame reliability vector at the audio rate: the
-    model-based, audio and video blocks side by side, the video block
-    (``video_signal_features``) repeated up to the audio rate.
-    ``video_feats`` and ``measures`` (see ``model_based_features``) pass
-    in what the caller has already computed."""
-    if video_feats is None:
-        video_feats = video_signal_features(utt)
+    model-based block (``model_based_features`` of ``measures``), the audio
+    block and the video block (``video_signal_features``) repeated up to
+    the audio rate, side by side."""
     frame_map = bresenham_map(utt.num_audio_frames, utt.num_video_frames)
-    return np.concatenate([model_based_features(posts, measures),
+    return np.concatenate([model_based_features(measures),
                            audio_signal_features(utt),
                            align_stream(video_feats, frame_map)], axis=1)
 
 
-def stream_posterior_set(utt: Utterance, world: World,
-                         cached_video: dict[str, PosteriorSequence] | None = None,
-                         ) -> dict[str, PosteriorSequence]:
-    posts = {"A": compute_stream_posteriors(utt, world, "A")}
-    if cached_video is None:
-        posts["VA"] = compute_stream_posteriors(utt, world, "VA")
-        posts["VS"] = compute_stream_posteriors(utt, world, "VS")
-    else:
-        posts.update(cached_video)
-    return posts
+@dataclass
+class VideoPart:
+    """What no audio condition changes in an utterance."""
+    posts: dict[str, PosteriorSequence]  # VA and VS
+    measures: dict[str, dict]  # ``stream_measures`` of VA and VS
+    features: np.ndarray  # ``video_signal_features``
+
+
+def video_part(world: World, utt: Utterance) -> VideoPart:
+    """The ``VideoPart`` of ``utt``, which any condition of it shares."""
+    posts ={s: compute_stream_posteriors(utt, world, s)
+             for s in ("VA", "VS")}
+    measures = {s: stream_measures(p.frames) for s, p in posts.items()}
+    return VideoPart(posts, measures, video_signal_features(utt))
+
+
+@dataclass
+class Cell:
+    """One utterance as the fusers see it: a (seed, condition, test
+    utterance) cell of the recognizer, or a training item's input."""
+    utt: Utterance  # the utterance as heard in the condition
+    posts: dict[str, PosteriorSequence]
+    logs: list[np.ndarray]  # per stream, in STREAMS order
+    rel: np.ndarray  # (T, reliability dim)
+
+
+def build_cell(world: World, noisy: Utterance, video: VideoPart) -> Cell:
+    """The cell of ``noisy``, whose ``video_part`` is ``video``: the one
+    place posteriors and reliability vectors are computed, for training
+    items and test cells alike."""
+    audio = compute_stream_posteriors(noisy, world, "A")
+    posts = {"A": audio, **video.posts}
+    measures = {"A": stream_measures(audio.frames), **video.measures}
+    return Cell(noisy, posts, [np.log(posts[s].frames) for s in STREAMS],
+                reliability_features(noisy, measures, video.features))
 
 
 @dataclass
@@ -199,14 +214,12 @@ def build_training_items(world: World, graph: DecodingGraph,
         clean_posts_a = compute_stream_posteriors(replace(utt), world, "A")
         target = forced_align(utt.words, np.log(clean_posts_a.frames), graph)
         noisy = mix_noise(utt, kind, cond, seed=seed * 7919 + idx)
-        posts = stream_posterior_set(noisy, world)
-        rel = reliability_features(noisy, posts)
-        logs = np.stack([np.log(posts[s].frames) for s in STREAMS])
+        cell = build_cell(world, noisy, video_part(world, noisy))
         items.append({
             "utt_id": utt.utt_id,
-            "posteriors": [posts[s].frames for s in STREAMS],
-            "log_posts": logs,
-            "reliability": rel,
+            "posteriors": [cell.posts[s].frames for s in STREAMS],
+            "log_posts": np.stack(cell.logs),
+            "reliability": cell.rel,
             "targets": target.states,
         })
         alignments.append(target)
@@ -372,35 +385,11 @@ def _map_ordered(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-@dataclass
-class VideoPart:
-    """What no audio condition changes in a test utterance."""
-    posts: dict[str, PosteriorSequence]  # VA and VS
-    measures: dict[str, dict]  # ``stream_measures`` of VA and VS
-    features: np.ndarray  # ``video_signal_features``
-
-
 def video_cache(world: World, utts: list[Utterance],
                 threads: int = 1) -> list[VideoPart]:
-    """Per test utterance, its ``VideoPart``, computed once for all the
+    """Per test utterance, its ``video_part``, computed once for all the
     conditions."""
-
-    def one(utt: Utterance) -> VideoPart:
-        posts = {s: compute_stream_posteriors(utt, world, s)
-                 for s in ("VA", "VS")}
-        measures = {s: stream_measures(p.frames) for s, p in posts.items()}
-        return VideoPart(posts, measures, video_signal_features(utt))
-
-    return _map_ordered(one, utts, threads)
-
-
-@dataclass
-class Cell:
-    """One (seed, condition, test utterance) cell of the recognizer."""
-    utt: Utterance  # the utterance as heard in the condition
-    posts: dict[str, PosteriorSequence]
-    logs: list[np.ndarray]  # per stream, in STREAMS order
-    rel: np.ndarray  # (T, reliability dim)
+    return _map_ordered(lambda utt: video_part(world, utt), utts, threads)
 
 
 def condition_cells(world: World, utts: list[Utterance], cache: list,
@@ -413,13 +402,8 @@ def condition_cells(world: World, utts: list[Utterance], cache: list,
     """
 
     def one(idx: int) -> Cell:
-        video = cache[idx]
         noisy = mix_test_noise(utts[idx], cond, kinds, seed, idx)
-        posts = stream_posterior_set(noisy, world, video.posts)
-        logs = [np.log(posts[s].frames) for s in STREAMS]
-        rel = reliability_features(noisy, posts, video.features,
-                                   video.measures)
-        return Cell(noisy, posts, logs, rel)
+        return build_cell(world, noisy, cache[idx])
 
     return _map_ordered(one, range(len(utts)), threads)
 

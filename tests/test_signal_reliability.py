@@ -1,15 +1,23 @@
 """Tests for audio/video signal reliability features and the reliability
 vector built from them."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from avfusion.align import bresenham_map
 from avfusion.core import STREAMS, PosteriorSequence
-from avfusion.corpus import WorldConfig, build_world, mix_noise, sample_utterance
+from avfusion.corpus import (
+    WorldConfig,
+    build_world,
+    compute_stream_posteriors,
+    mix_noise,
+    sample_utterance,
+)
+from avfusion.decode import build_decoding_graph
 from avfusion import experiment
-from avfusion.experiment import reliability_features, stream_posterior_set
 from avfusion.model_reliability import (
     dispersion,
     dispersion_ratio,
@@ -461,36 +469,44 @@ class TestVideoFeaturesMatchFrameLoop:
 
 
 class TestReliabilityFeatures:
-    """``experiment.reliability_features`` on a real noisy cell, column
-    block by column block against each feature computed directly."""
+    """The reliability vector of ``experiment.build_cell`` on a real noisy
+    cell, column block by column block against each feature computed
+    directly."""
 
     @pytest.fixture(scope="class")
-    def cell(self):
-        world = build_world(WorldConfig(vocab_size=3), seed=0)
+    def world(self):
+        return build_world(WorldConfig(vocab_size=3), seed=0)
+
+    @pytest.fixture(scope="class")
+    def cell(self, world):
         utt = mix_noise(sample_utterance(world, 3, seed=30), "babble", -3.0,
                         seed=31)
-        posts = stream_posterior_set(utt, world)
-        return utt, posts, reliability_features(utt, posts)
+        return experiment.build_cell(world, utt,
+                                     experiment.video_part(world, utt))
 
     def test_shape_is_frames_by_41(self, cell):
-        utt, _, rel = cell
-        assert rel.shape == (utt.num_audio_frames, 41)
-        assert rel.dtype == np.float64
+        assert cell.rel.shape == (cell.utt.num_audio_frames, 41)
+        assert cell.rel.dtype == np.float64
+
+    def test_posteriors_are_the_stream_posteriors(self, world, cell):
+        for s, log in zip(STREAMS, cell.logs):
+            want = compute_stream_posteriors(cell.utt, world, s).frames
+            assert cell.posts[s].frames.tobytes() == want.tobytes()
+            assert log.tobytes() == np.log(want).tobytes()
 
     def test_model_block_is_the_per_stream_measures(self, cell):
-        _, posts, rel = cell
-        frames = [posts[s].frames for s in STREAMS]
+        frames = [cell.posts[s].frames for s in STREAMS]
         ent_ratio = entropy_ratio(np.stack([entropy(p) for p in frames], 1))
         disp_ratio = dispersion_ratio(
             np.stack([dispersion(p) for p in frames], 1))
         for i, p in enumerate(frames):
             want = [entropy(p), dispersion(p), posterior_difference(p),
                     temporal_divergence(p), ent_ratio[:, i], disp_ratio[:, i]]
-            npt.assert_array_equal(rel[:, 6 * i:6 * i + 6],
+            npt.assert_array_equal(cell.rel[:, 6 * i:6 * i + 6],
                                    np.stack(want, axis=1))
 
     def test_audio_block_is_the_audio_features(self, cell):
-        utt, _, rel = cell
+        utt, rel = cell.utt, cell.rel
         mfcc = mfcc_frames(utt.audio, n_keep=5)
         f0, voicing = pitch_nccf(utt.audio)
         npt.assert_array_equal(rel[:, 18:23], mfcc)
@@ -500,23 +516,26 @@ class TestReliabilityFeatures:
                                np.stack([f0, delta(f0), voicing], axis=1))
 
     def test_video_block_is_upsampled_video_features(self, cell):
-        utt, _, rel = cell
+        utt = cell.utt
         frame_map = bresenham_map(utt.num_audio_frames, utt.num_video_frames)
         video = np.column_stack([utt.confidence, idct_features(utt.video, 5),
                                  image_distortion(utt.video)])
-        npt.assert_array_equal(rel[:, 32:41], video[frame_map])
+        npt.assert_array_equal(cell.rel[:, 32:41], video[frame_map])
 
-    def test_mismatched_lengths_rejected(self, cell):
-        utt, posts, _ = cell
-        short = dict(posts, VS=PosteriorSequence("VS", posts["VS"].frames[1:]))
+    def test_mismatched_lengths_rejected(self, world, cell):
+        video = experiment.video_part(world, cell.utt)
+        vs = video.posts["VS"].frames[1:]
+        short = replace(video,
+                        posts=dict(video.posts, VS=PosteriorSequence("VS", vs)),
+                        measures=dict(video.measures, VS=stream_measures(vs)))
         with pytest.raises(ValueError):
-            reliability_features(utt, short)
+            experiment.build_cell(world, cell.utt, short)
 
 
 class TestCachedVideoMeasures:
     """``video_cache`` computes the VA and VS measures once per utterance;
-    a condition's cells compute only the audio stream's, and their
-    reliability vectors are those computed from scratch, bit for bit."""
+    a condition's cells compute only the audio stream's, and are the cells
+    ``build_cell`` computes from scratch, bit for bit."""
 
     def test_cells_reuse_the_video_measures(self, monkeypatch):
         world = build_world(WorldConfig(vocab_size=3), seed=0)
@@ -536,7 +555,35 @@ class TestCachedVideoMeasures:
                                                ["white", "babble"], 0)
             assert len(measured) == len(utts)
             for cell in cells:
-                fresh = reliability_features(cell.utt,
-                                             stream_posterior_set(cell.utt,
-                                                                  world))
-                assert cell.rel.tobytes() == fresh.tobytes()
+                fresh = experiment.build_cell(
+                    world, cell.utt, experiment.video_part(world, cell.utt))
+                assert cell.rel.tobytes() == fresh.rel.tobytes()
+                for log, fresh_log in zip(cell.logs, fresh.logs):
+                    assert log.tobytes() == fresh_log.tobytes()
+
+
+def test_training_items_are_cells(monkeypatch):
+    """Each training item holds the posteriors, logs and reliability
+    vector that ``build_cell`` gives its mixed utterance, bit for bit."""
+    world = build_world(WorldConfig(vocab_size=3), seed=0)
+    graph = build_decoding_graph(world, 1.0)
+    utts = [sample_utterance(world, 2 + i % 3, seed=50 + i) for i in range(4)]
+    mixed = []
+
+    def recorded(*args, **kwargs):
+        mixed.append(mix_noise(*args, **kwargs))
+        return mixed[-1]
+
+    monkeypatch.setattr(experiment, "mix_noise", recorded)
+    items = experiment.build_training_items(
+        world, graph, utts, [-3.0, None], ["white", "babble"], 5, None)
+    assert len(mixed) == len(items) == len(utts)
+    for item, noisy in zip(items, mixed):
+        # a copy starts with no log-mel memo of the item build
+        noisy = replace(noisy)
+        cell = experiment.build_cell(world, noisy,
+                                     experiment.video_part(world, noisy))
+        for got, s in zip(item["posteriors"], STREAMS):
+            assert got.tobytes() == cell.posts[s].frames.tobytes()
+        assert item["log_posts"].tobytes() == np.stack(cell.logs).tobytes()
+        assert item["reliability"].tobytes() == cell.rel.tobytes()
