@@ -46,10 +46,13 @@ stage can be re-run in place and produces identical bytes.  The output
 directory comes from --out, else the AVFUSION_OUT environment variable,
 else the config's out_dir; thread count from --threads, else
 AVFUSION_THREADS, else 1. The thread count governs only the per-utterance
-work of `extract` and `fuse`: `train` and `sweep` train a seed's learned
-models in forked processes, one per model up to the usable CPUs, and every
-stage runs with BLAS pinned to one thread, so neither count changes the
-output bytes.
+work of `extract` and `fuse`: `train` and `sweep` build a seed's training
+items in slices on forked processes, one per usable CPU, and train its
+learned models in forked processes, one per model up to the usable CPUs.
+Meanwhile `sweep` evaluates the strategies that need no trained model in
+this process; a training process that fails in the meantime is reported
+when that evaluation returns. Every stage runs with
+BLAS pinned to one thread, so neither count changes the output bytes.
 
 Exit codes: 0 success, 1 runtime failure (including missing prerequisite
 artifacts, and damaged ones or ones written for another run, which the

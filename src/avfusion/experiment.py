@@ -5,6 +5,15 @@ The sweep mirrors the usual presentation: one row per strategy, one column
 per SNR condition from -9 dB to +9 dB plus clean, and a trailing average
 column. WER is pooled over utterances within a (strategy, condition, seed)
 cell and averaged across seeds for the table.
+
+Within a seed the usable CPUs stay busy where they can: training items are
+built in slices on a fork pool, the learned strategies train in forked
+workers that inherit them, and meanwhile this process builds the seed's
+test cells and fuses, decodes and keeps the strategies that need no
+trained model (``run_sweep``'s ``parent_work`` to
+``train_strategy_models``). A worker's failure surfaces once that work
+returns. The learned strategies are fused and decoded when their models
+are back.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import numpy as np
 
 from .align import align_stream, bresenham_map
 from .blas import single_blas_thread
-from .core import STREAMS, PosteriorSequence
+from .core import STREAMS, AlignmentTarget, PosteriorSequence
 from .corpus import (
     Utterance,
     World,
@@ -144,7 +153,9 @@ def video_part(world: World, utt: Utterance) -> VideoPart:
 class Cell:
     """One utterance as the fusers see it: a (seed, condition, test
     utterance) cell of the recognizer, or a training item's input."""
-    utt: Utterance  # the utterance as heard in the condition
+    # the utterance as heard in the condition; None in a cell kept only
+    # for the learned fusers, which never read it
+    utt: Utterance | None
     posts: dict[str, PosteriorSequence]
     logs: list[np.ndarray]  # per stream, in STREAMS order
     rel: np.ndarray  # (T, reliability dim)
@@ -178,12 +189,19 @@ class SweepResult:
                               for lab in self.labels]))
 
 
-def _sample_split(world: World, count: int, offset: int,
+def _sample_split(world: World, indices: range, offset: int,
                   min_words: int, max_words: int) -> list[Utterance]:
+    """Utterances ``indices`` of the split whose sampling seeds start at
+    ``offset``: each is a function of its index alone."""
     span = max_words - min_words + 1
     return [sample_utterance(world, min_words + i % span, seed=offset + i,
                              utt_id=f"u{offset + i:06d}")
-            for i in range(count)]
+            for i in indices]
+
+
+def _conditions(cfg: dict) -> list:
+    """The SNR grid in dB, then clean (None)."""
+    return [float(s) for s in cfg["snr_grid"]] + [None]
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
@@ -196,18 +214,19 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
 
 
 def build_training_items(world: World, graph: DecodingGraph,
-                         utts: list[Utterance], conditions: list,
-                         kinds: list[str], seed: int,
-                         oracle_mode: str | None) -> list[dict]:
-    """One training item per utterance, cycling noise conditions and kinds.
+                         utts: list[Utterance], first: int,
+                         conditions: list, kinds: list[str],
+                         seed: int) -> list[dict]:
+    """One training item per utterance; ``utts[j]`` is item ``first + j``
+    of its split, and that index picks its noise condition and kind
+    (cycling through both) and its noise seed.
 
     Targets come from forced alignment of the clean audio posteriors, per
-    the training recipe; the generator's own alignment is withheld. Each
-    item also carries its oracle weights in ``oracle_mode`` unless that is
-    None.
+    the training recipe; the generator's own alignment is withheld.
+    ``add_oracle_targets`` adds the oracle weights where they are needed.
     """
-    items, alignments = [], []
-    for idx, utt in enumerate(utts):
+    items = []
+    for idx, utt in enumerate(utts, first):
         cond = conditions[idx % len(conditions)]
         kind = kinds[idx % len(kinds)]
         # on a copy, so the caller's utterance keeps no log-mel memo
@@ -222,15 +241,37 @@ def build_training_items(world: World, graph: DecodingGraph,
             "reliability": cell.rel,
             "targets": target.states,
         })
-        alignments.append(target)
-    if oracle_mode is not None:
-        # one solver run for all items: each frame is solved on its own,
-        # so the weights are those of per-item runs
-        solved = oracle_weights_batch([list(it["log_posts"]) for it in items],
-                                      alignments, mode=oracle_mode)
-        for item, weights in zip(items, solved):
-            item["oracle_weights"] = weights.weights
     return items
+
+
+def add_oracle_targets(items: list[dict], num_states: int,
+                       mode: str) -> None:
+    """Give every item its oracle weights in ``mode`` (the ``dsw-mse``
+    targets), from one solver run over all of them: each frame is solved
+    on its own, so the weights are those of per-item runs."""
+    solved = oracle_weights_batch(
+        [list(item["log_posts"]) for item in items],
+        [AlignmentTarget(item["targets"], num_states) for item in items],
+        mode=mode)
+    for item, weights in zip(items, solved):
+        item["oracle_weights"] = weights.weights
+
+
+# per split: the offset of its utterances' sampling seeds, and what its
+# noise seed adds to the seed
+_SPLITS = {"train": (0, 0), "val": (100_000, 1)}
+
+
+def _item_slice(cfg: dict, world: World, graph: DecodingGraph, seed: int,
+                split: str, lo: int, hi: int) -> list[dict]:
+    """Items ``lo`` to ``hi - 1`` of one of a seed's splits, from
+    utterances sampled here: a slice needs nothing but its bounds."""
+    c = cfg["corpus"]
+    offset, noise = _SPLITS[split]
+    utts = _sample_split(world, range(lo, hi), offset,
+                         c["min_words"], c["max_words"])
+    return build_training_items(world, graph, utts, lo, _conditions(cfg),
+                                list(cfg["noise_kinds"]), seed + noise)
 
 
 def usable_cpus() -> int:
@@ -247,15 +288,10 @@ class TrainingError(RuntimeError):
     seed."""
 
 
-# (cfg, seed, num_states, rel_dim, train_items, val_items) inside a forked
-# training worker, set by the pool initializer: workers inherit the items
-# through fork instead of receiving a pickled copy per task
+# (cfg, seed, num_states, train_items, val_items) of the seed being
+# trained, set only while a training pool forks its workers, which
+# inherit it (``_train_on_pool``)
 _WORKER_JOB = None
-
-
-def _set_worker_job(job: tuple) -> None:
-    global _WORKER_JOB
-    _WORKER_JOB = job
 
 
 def _train_in_worker(strat: str) -> tuple:
@@ -264,25 +300,42 @@ def _train_in_worker(strat: str) -> tuple:
 
 def _train_one(job: tuple, strat: str) -> tuple:
     """(model, best validation CE) of one learned strategy."""
-    cfg, seed, s_count, rel_dim, train_items, val_items = job
+    cfg, seed, num_states, train_items, val_items = job
     tc = _train_config(cfg, seed)
+    rel_dim = train_items[0]["reliability"].shape[1]
     try:
         if strat.startswith("dfn-"):
             variant = strat.split("-", 1)[1]
             d = cfg["dfn"]
             model, history = train_dfn(
-                train_items, val_items, variant, s_count, rel_dim, tc,
+                train_items, val_items, variant, num_states, rel_dim, tc,
                 widths=tuple(d["widths"]), hidden=d["hidden"],
                 scale=d["scale"], dropout=d["dropout"])
         else:
             criterion = strat.split("-", 1)[1]
             model, history = train_weight_estimator(
-                train_items, val_items, criterion, s_count, tc,
+                train_items, val_items, criterion, num_states, tc,
                 hidden=cfg["estimator"]["hidden"])
     except Exception as exc:
         raise TrainingError(f"training {strat} for seed {seed} failed: "
                             f"{type(exc).__name__}: {exc}") from exc
     return model, history["best_val"]
+
+
+def _training_job(cfg: dict, world: World, seed: int, needed: list[str],
+                  items: dict[str, list[dict]]) -> tuple:
+    """The job ``_train_one`` takes, from a seed's items by split."""
+    num_states = world.config.num_states
+    if "dsw-mse" in needed:
+        # dsw-mse regresses on the oracle weights it is scored beside
+        add_oracle_targets(items["train"] + items["val"], num_states,
+                           cfg["oracle_mode"])
+    return cfg, seed, num_states, items["train"], items["val"]
+
+
+def _fork_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _stop_workers(pool: ProcessPoolExecutor) -> None:
@@ -295,68 +348,117 @@ def _stop_workers(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _train_all(job: tuple, needed: list[str]) -> list[tuple]:
-    """Train each strategy of ``needed``, results in ``needed`` order.
+def _wait(futures: list, tasks: list[str], seed: int) -> None:
+    """Wait until all ``futures`` (running ``tasks``) are done, raising the
+    first failure at once; a dead worker, which fails every unfinished
+    task of its pool, as a ``TrainingError`` naming them."""
+    done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+    failed = [f for f in futures if f in done and f.exception() is not None]
+    if not failed:
+        return
+    error = failed[0].exception()
+    if isinstance(error, BrokenProcessPool):
+        unfinished = [task for task, f in zip(tasks, futures)
+                      if f.done() and f.exception() is not None]
+        raise TrainingError(
+            f"a training worker died while {', '.join(unfinished)} "
+            f"for seed {seed}: {error}") from error
+    raise error
 
-    One forked worker per strategy, up to the usable CPUs; serially in
-    this process when only one would run or the platform cannot fork.
-    Each strategy trains from its own seed on the same items, with BLAS
-    at one thread (``train_strategy_models``), so the results do not
-    depend on which way they were computed. The first failure stops the
-    other workers and is raised at once.
+
+def _pool_items(cfg: dict, world: World, graph: DecodingGraph,
+                seed: int) -> dict[str, list[dict]]:
+    """A seed's items by split, each split built in ordered slices, one
+    per usable CPU, on a fork pool."""
+    workers = usable_cpus()
+    c = cfg["corpus"]
+    slices = [(split, c[split] * k // workers, c[split] * (k + 1) // workers)
+              for split in _SPLITS for k in range(workers)]
+    slices = [s for s in slices if s[1] < s[2]]
+    with _fork_pool(workers) as pool:
+        try:
+            parts = [pool.submit(_item_slice, cfg, world, graph, seed, *s)
+                     for s in slices]
+            _wait(parts, [f"building {split} items {lo}-{hi - 1}"
+                          for split, lo, hi in slices], seed)
+        except BaseException:
+            _stop_workers(pool)
+            raise
+    items: dict[str, list[dict]] = {split: [] for split in _SPLITS}
+    for (split, _, _), part in zip(slices, parts):
+        items[split] += part.result()
+    return items
+
+
+def _train_on_pool(job: tuple, needed: list[str],
+                   parent_work) -> list[tuple]:
+    """Train the strategies of ``needed`` on ``job`` on a fork pool, one
+    worker per strategy up to the usable CPUs, while ``parent_work`` runs
+    in this process. Results in ``needed`` order.
+
+    Any failure, in a worker or in ``parent_work``, stops the other
+    workers and is raised at once; a worker's failure while
+    ``parent_work`` runs surfaces when it returns.
     """
-    workers = min(len(needed), usable_cpus())
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_train_one(job, strat) for strat in needed]
-    with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_worker_job, initargs=(job,)) as pool:
-        futures = [pool.submit(_train_in_worker, strat) for strat in needed]
-        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-        failed = [f for f in futures if f in done and f.exception() is not None]
-        if not failed:
-            return [f.result() for f in futures]
-        error = failed[0].exception()
-        if isinstance(error, BrokenProcessPool):
-            # a dead worker breaks the pool, which fails every unfinished
-            # task and stops the other workers itself
-            unfinished = [s for s, f in zip(needed, futures)
-                          if f.exception() is not None]
-            raise TrainingError(
-                f"a training worker died while training {unfinished} for "
-                f"seed {job[1]}: {error}") from error
-        _stop_workers(pool)
-        raise error
+    global _WORKER_JOB
+    seed = job[1]
+    tasks = [f"training {strat}" for strat in needed]
+    with _fork_pool(min(len(needed), usable_cpus())) as pool:
+        try:
+            # a fork pool forks all its workers at the first submit, and
+            # they inherit the job; this process then drops it, so that
+            # the items do not stay in its memory while parent_work runs
+            _WORKER_JOB, job = job, None
+            try:
+                futures = [pool.submit(_train_in_worker, strat)
+                           for strat in needed]
+            finally:
+                _WORKER_JOB = None
+            parent_work()
+            _wait(futures, tasks, seed)
+        except BaseException:
+            _stop_workers(pool)
+            raise
+    return [f.result() for f in futures]
 
 
 @single_blas_thread()
 def train_strategy_models(cfg: dict, world: World, graph: DecodingGraph,
                           seed: int, strategies: list[str],
-                          ) -> tuple[dict, dict]:
-    """Train every requested learned strategy for one seed.
+                          parent_work=None) -> tuple[dict, dict]:
+    """Train every requested learned strategy for one seed, and run
+    ``parent_work`` (a callable, if given) in this process meanwhile.
 
     Returns (models by strategy, best validation CE by strategy).
+
+    With two or more usable CPUs and ``fork``, the training and
+    validation items are built in ordered slices on a fork pool, and each
+    strategy trains in a worker of a second fork pool, which inherits the
+    items, while ``parent_work`` runs here. Otherwise, and for
+    a lone strategy with no ``parent_work``, everything runs here in
+    turn. Each strategy trains from its own seed on the same items, with
+    BLAS at one thread, so the results do not depend on which way they
+    were computed.
     """
     needed = [s for s in strategies if s in TRAINED_STRATEGIES]
+    work = parent_work or (lambda: None)
     if not needed:
+        work()
         return {}, {}
-    c = cfg["corpus"]
-    train_utts = _sample_split(world, c["train"], 0,
-                               c["min_words"], c["max_words"])
-    val_utts = _sample_split(world, c["val"], 100_000,
-                             c["min_words"], c["max_words"])
-    conditions = [float(s) for s in cfg["snr_grid"]] + [None]
-    kinds = list(cfg["noise_kinds"])
-    # dsw-mse regresses on the oracle weights it is scored beside
-    oracle_mode = cfg["oracle_mode"] if "dsw-mse" in needed else None
-    train_items = build_training_items(world, graph, train_utts, conditions,
-                                       kinds, seed, oracle_mode)
-    val_items = build_training_items(world, graph, val_utts, conditions,
-                                     kinds, seed + 1, oracle_mode)
-    job = (cfg, seed, world.config.num_states,
-           train_items[0]["reliability"].shape[1], train_items, val_items)
-    trained = _train_all(job, needed)
+    if usable_cpus() < 2 or \
+            "fork" not in multiprocessing.get_all_start_methods() or \
+            (len(needed) == 1 and parent_work is None):
+        c = cfg["corpus"]
+        job = _training_job(cfg, world, seed, needed, {
+            split: _item_slice(cfg, world, graph, seed, split, 0, c[split])
+            for split in _SPLITS})
+        trained = [_train_one(job, strat) for strat in needed]
+        work()
+    else:
+        trained = _train_on_pool(
+            _training_job(cfg, world, seed, needed,
+                          _pool_items(cfg, world, graph, seed)),
+            needed, work)
     models = {strat: model for strat, (model, _) in zip(needed, trained)}
     val_ce = {strat: best for strat, (_, best) in zip(needed, trained)}
     return models, val_ce
@@ -365,7 +467,7 @@ def train_strategy_models(cfg: dict, world: World, graph: DecodingGraph,
 def test_split(cfg: dict, world: World) -> list[Utterance]:
     """The clean test utterances of a world; every cell starts from one."""
     c = cfg["corpus"]
-    return _sample_split(world, c["test"], 200_000,
+    return _sample_split(world, range(c["test"]), 200_000,
                          c["min_words"], c["max_words"])
 
 
@@ -457,18 +559,59 @@ def fuse_cells(cells: list[Cell], strategies: list[str], world: World,
             for i, cell in enumerate(cells)]
 
 
+def _model_free_pass(cfg: dict, world: World, graph: DecodingGraph,
+                     seed: int, strategies: list[str]) -> list[tuple]:
+    """Per condition of a seed, (cells, rows): the test cells with their
+    utterances dropped, which keeps what a learned fuser reads, and per
+    cell a row of its utterance id, reference words and each of the
+    model-free ``strategies``' hypothesis, from one padded decode."""
+    kinds = list(cfg["noise_kinds"])
+    test_utts = test_split(cfg, world)
+    cache = video_cache(world, test_utts)
+
+    # a condition's full cells are dropped before the next one is built
+    def one(cond: float | None) -> tuple:
+        cells = condition_cells(world, test_utts, cache, cond, kinds, seed)
+        rows = [{"utt_id": cell.utt.utt_id, "reference": cell.utt.words,
+                 "hyps": {}} for cell in cells]
+        if strategies:
+            fused = fuse_cells(cells, strategies, world, {},
+                               cfg["oracle_mode"])
+            _decode_into(rows, fused, strategies, graph)
+        return [replace(cell, utt=None) for cell in cells], rows
+
+    return [one(cond) for cond in _conditions(cfg)]
+
+
+def _decode_into(rows: list[dict], fused: list[list], strategies: list[str],
+                 graph: DecodingGraph) -> None:
+    """Decode ``fused`` ([cell][strategy]) in one padded Viterbi run and
+    file each hypothesis under its row and strategy."""
+    decoded = viterbi_decode_batch([f for per_cell in fused
+                                    for f in per_cell], graph)
+    for i, row in enumerate(rows):
+        per_cell = decoded[i * len(strategies):(i + 1) * len(strategies)]
+        row["hyps"].update(
+            (strategy, dec.words)
+            for strategy, dec in zip(strategies, per_cell))
+
+
 @single_blas_thread()
 def run_sweep(cfg: dict, models_out: dict | None = None) -> SweepResult:
-    """Run the full experiment grid described by a validated config dict."""
+    """Run the full experiment grid described by a validated config dict.
+
+    A seed's model-free strategies are evaluated while its learned ones
+    train (``train_strategy_models``'s ``parent_work``); the learned ones
+    are fused and decoded once their models are back.
+    """
     strategies = list(cfg["strategies"])
     unknown = [s for s in strategies if s not in ALL_STRATEGIES]
     if unknown:
         raise ValueError(f"unknown strategies: {unknown}")
-    conditions = [float(s) for s in cfg["snr_grid"]] + [None]
-    labels = [condition_label(c) for c in conditions]
+    learned = [s for s in strategies if s in TRAINED_STRATEGIES]
+    model_free = [s for s in strategies if s not in learned]
+    labels = [condition_label(c) for c in _conditions(cfg)]
     seeds = [int(s) for s in cfg["seeds"]]
-    kinds = list(cfg["noise_kinds"])
-    oracle_mode = cfg["oracle_mode"]
     result = SweepResult(strategies=strategies, labels=labels, seeds=seeds)
     counts: dict[str, dict[str, list[WerReport]]] = {
         s: {lab: [] for lab in labels} for s in strategies}
@@ -476,44 +619,37 @@ def run_sweep(cfg: dict, models_out: dict | None = None) -> SweepResult:
     for seed in seeds:
         world = build_world(WorldConfig(**cfg["world"]), seed)
         graph = build_decoding_graph(world, cfg["lm_scale"])
+        passes: list[tuple] = []
         models, seed_val_ce = train_strategy_models(
-            cfg, world, graph, seed, strategies)
+            cfg, world, graph, seed, strategies,
+            lambda: passes.extend(
+                _model_free_pass(cfg, world, graph, seed, model_free)))
         for strat, best in seed_val_ce.items():
             if strat.startswith("dfn-"):
                 result.val_ce.setdefault(strat, []).append(best)
         if models_out is not None:
             models_out[seed] = models
-        test_utts = test_split(cfg, world)
-        cache = video_cache(world, test_utts)
-        per_cell: dict[str, dict[str, list[WerReport]]] = {
-            s: {lab: [] for lab in labels} for s in strategies}
-        for cond, label in zip(conditions, labels):
-            cells = condition_cells(world, test_utts, cache, cond, kinds,
-                                    seed)
-            fused_cells = fuse_cells(cells, strategies, world, models,
-                                     oracle_mode)
-            # one padded decode for every cell and strategy of the condition
-            decoded = viterbi_decode_batch(
-                [f for fused in fused_cells for f in fused], graph)
-            for i, cell in enumerate(cells):
-                utt = cell.utt
-                per_strategy = decoded[i * len(strategies):
-                                       (i + 1) * len(strategies)]
-                for strategy, dec in zip(strategies, per_strategy):
-                    hyp = dec.words
-                    report = wer(utt.words, hyp)
-                    per_cell[strategy][label].append(report)
+        for label, (cells, rows) in zip(labels, passes):
+            if learned:
+                _decode_into(rows, fuse_cells(cells, learned, world, models,
+                                              cfg["oracle_mode"]),
+                             learned, graph)
+            per_cell: dict[str, list[WerReport]] = {s: [] for s in strategies}
+            for row in rows:
+                for strategy in strategies:
+                    hyp = row["hyps"][strategy]
+                    report = wer(row["reference"], hyp)
+                    per_cell[strategy].append(report)
                     result.utterance_detail.append({
                         "seed": seed, "strategy": strategy, "snr": label,
-                        "utt_id": utt.utt_id, "reference": utt.words,
-                        "hypothesis": hyp,
+                        "utt_id": row["utt_id"],
+                        "reference": row["reference"], "hypothesis": hyp,
                         "errors": report.errors,
                         "ref_length": report.ref_length,
                     })
-        for strategy in strategies:
-            for label in labels:
+            for strategy in strategies:
                 counts[strategy][label].append(
-                    pool_reports(per_cell[strategy][label]))
+                    pool_reports(per_cell[strategy]))
 
     result.per_seed_wer = {
         s: {lab: [r.wer for r in counts[s][lab]] for lab in labels}

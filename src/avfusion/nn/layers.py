@@ -24,16 +24,6 @@ def glorot(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0.5 * (1 + tanh(x / 2)): stable on both tails, one transcendental;
-    ``out`` may be ``x`` itself."""
-    out = np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
 class Layer:
     """Base class; stateless layers leave params/grads empty."""
 
@@ -188,47 +178,51 @@ def _lstm_forward(x, keep, wx, wh, b):
 
     x is (K, B, T, D), keep a boolean (K, B, T) mask, and the weights carry
     the same leading K axis. Gate columns are laid out [input, forget,
-    output, candidate]. Inside, the gates of frame t are the (K, 4, H, B)
-    block ``gates[t]`` and the states are (K, H, B): batch-last blocks keep
-    every per-step operation on contiguous memory. Returns the (K, B, T, H)
-    states and a cache.
+    output, candidate]. The three sigmoid gates' columns of the weights
+    are halved first, which is exact (a power of two), so one tanh over a
+    frame's pre-activations gives all four gates, as the sigmoid is
+    0.5 * (1 + tanh(x / 2)). Inside, the gates of frame t are the
+    (K, 4, H, B) block ``gates[t]``, and the (c, h) states before and
+    after it are the (K, 2, H, B) blocks ``state[t]`` and ``state[t + 1]``:
+    batch-last blocks keep every per-step operation on contiguous memory.
+    Returns the (K, B, T, H) states and a cache.
     """
     k_dir, bsz, t_len, d_in = x.shape
     hid = wh.shape[1]
+    half = np.repeat([0.5, 0.5, 0.5, 1.0], hid)
     xt = x.transpose(0, 2, 1, 3).reshape(k_dir, t_len * bsz, d_in)
-    proj = xt @ wx
-    proj += b[:, None, :]
+    proj = xt @ (wx * half)
+    proj += (b * half)[:, None, :]
     # the projected inputs become the activated gates, in place
     gates = np.ascontiguousarray(
         proj.reshape(k_dir, t_len, bsz, 4, hid).transpose(1, 0, 3, 4, 2))
     keep_t = keep.transpose(2, 0, 1)[:, :, None, :]  # (T, K, 1, B)
-    wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
-    h = np.zeros((k_dir, hid, bsz))
-    c = np.zeros((k_dir, hid, bsz))
-    hs = np.empty((t_len, k_dir, hid, bsz))
-    cs = np.empty_like(hs)
-    tcs = np.empty_like(hs)
+    padded = ~keep_t.all(axis=(1, 2, 3))
+    wh_t = np.ascontiguousarray((wh * half).transpose(0, 2, 1))
+    state = np.zeros((t_len + 1, k_dir, 2, hid, bsz))
+    tcs = np.empty((t_len, k_dir, hid, bsz))
     for t in range(t_len):
         z = gates[t]
-        z += (wh_t @ h).reshape(z.shape)
-        _sigmoid(z[:, :3], out=z[:, :3])
-        np.tanh(z[:, 3], out=z[:, 3])
-        c_cand = z[:, 1] * c
-        c_cand += z[:, 0] * z[:, 3]
-        tc = np.tanh(c_cand, out=tcs[t])
-        # padded frames hold the previous state
-        np.copyto(c, c_cand, where=keep_t[t])
-        np.copyto(h, z[:, 2] * tc, where=keep_t[t])
-        cs[t] = c
-        hs[t] = h
-    return hs.transpose(1, 3, 0, 2), (xt, keep_t, hs, cs, tcs, gates)
+        z += (wh_t @ state[t, :, 1]).reshape(z.shape)
+        np.tanh(z, out=z)
+        z[:, :3] += 1.0
+        z[:, :3] *= 0.5
+        c = np.multiply(z[:, 1], state[t, :, 0], out=state[t + 1, :, 0])
+        c += z[:, 0] * z[:, 3]
+        np.multiply(z[:, 2], np.tanh(c, out=tcs[t]), out=state[t + 1, :, 1])
+        if padded[t]:
+            # padded frames hold the previous state
+            np.copyto(state[t + 1], state[t],
+                      where=~keep_t[t][:, :, None, :])
+    hs = state[1:, :, 1]
+    return hs.transpose(1, 3, 0, 2), (xt, keep_t, padded, state, tcs, gates)
 
 
 def _lstm_backward(dh_seq, cache, wx, wh):
     """Backward of ``_lstm_forward``; dh_seq is (K, B, T, H). Returns dx
     (K, B, T, D) and the stacked dwx, dwh, db."""
-    xt, keep_t, hs, cs, tcs, gates = cache
-    t_len, k_dir, hid, bsz = hs.shape
+    xt, keep_t, padded, state, tcs, gates = cache
+    t_len, k_dir, hid, bsz = tcs.shape
     dh_seq = np.ascontiguousarray(dh_seq.transpose(2, 0, 3, 1))
     i, f, o, g = (gates[:, :, j] for j in range(4))
     # per-frame factors: the pre-activation gradient of each gate is its
@@ -238,8 +232,8 @@ def _lstm_backward(dh_seq, cache, wx, wh):
     np.subtract(1.0, gates[:, :, :3], out=factor[:, :, :3])
     factor[:, :, :3] *= gates[:, :, :3]
     factor[:, :, 0] *= g
-    factor[1:, :, 1] *= cs[:-1]
-    factor[0, :, 1] = 0.0  # the state before the first frame is zero
+    # the state before the first frame is zero
+    factor[:, :, 1] *= state[:-1, :, 0]
     factor[:, :, 2] *= tcs
     np.multiply(g, g, out=factor[:, :, 3])
     np.subtract(1.0, factor[:, :, 3], out=factor[:, :, 3])
@@ -248,25 +242,33 @@ def _lstm_backward(dh_seq, cache, wx, wh):
     np.subtract(1.0, dc_from_h, out=dc_from_h)
     dc_from_h *= o
     dpre_all = np.empty_like(gates)
-    # a 0/1 float mask splits each state gradient exactly into the part a
-    # valid frame consumes (x * m) and the part a padded frame passes back
-    # unchanged (x - x * m)
+    # on a frame with padding, a 0/1 float mask splits each state gradient
+    # exactly into the part a valid frame consumes (x * m) and the part a
+    # padded frame passes back unchanged (x - x * m)
     mask_t = keep_t.astype(np.float64)
     dh_next = np.zeros((k_dir, hid, bsz))
     dc_next = np.zeros((k_dir, hid, bsz))
     for t in range(t_len - 1, -1, -1):
         dh = dh_seq[t] + dh_next
-        dh_cand = dh * mask_t[t]
-        dc_in = dc_next * mask_t[t]
-        dc_cand = dc_in + dh_cand * dc_from_h[t]
-        dc_next = (dc_next - dc_in) + dc_cand * f[t]
+        if padded[t]:
+            dh_cand = dh * mask_t[t]
+            dc_in = dc_next * mask_t[t]
+            dc_cand = dc_in + dh_cand * dc_from_h[t]
+            dc_next = (dc_next - dc_in) + dc_cand * f[t]
+        else:
+            dh_cand = dh
+            dc_cand = dc_next + dh * dc_from_h[t]
+            dc_next = dc_cand * f[t]
         dpre = np.multiply(factor[t], dc_cand[:, None], out=dpre_all[t])
         np.multiply(factor[t, :, 2], dh_cand, out=dpre[:, 2])
-        dh_next = (dh - dh_cand) + wh @ dpre.reshape(k_dir, 4 * hid, bsz)
+        dh_next = wh @ dpre.reshape(k_dir, 4 * hid, bsz)
+        if padded[t]:
+            dh_next += dh - dh_cand
     flat_d = dpre_all.transpose(1, 0, 4, 2, 3).reshape(
         k_dir, t_len * bsz, 4 * hid)
     # frame t's gates see the state of frame t - 1 (zero before frame 0)
-    h_prev = hs[:-1].transpose(1, 2, 0, 3).reshape(k_dir, hid, -1)
+    h_prev = state[1:t_len, :, 1].transpose(1, 2, 0, 3).reshape(
+        k_dir, hid, -1)
     dwx = xt.transpose(0, 2, 1) @ flat_d
     dwh = h_prev @ flat_d[:, bsz:]
     db = flat_d.sum(axis=1)

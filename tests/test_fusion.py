@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from avfusion.core import AlignmentTarget, StreamWeights, normalize_posteriors
 from avfusion.corpus import WorldConfig, build_world, sample_utterance
 from avfusion.decode import build_decoding_graph
-from avfusion.experiment import build_training_items
+from avfusion.experiment import add_oracle_targets, build_training_items
 from avfusion import fusion
 from avfusion.fusion import (
     DfnModel,
@@ -201,12 +201,14 @@ class TestOracleWeights:
         graph = build_decoding_graph(world, 1.0)
         utts = [sample_utterance(world, n, seed=i)
                 for i, n in enumerate((2, 3, 1, 2))]
-        items = build_training_items(world, graph, utts, [-6.0, 3.0, None],
-                                     ["white", "babble"], 0, oracle_mode)
+        items = build_training_items(world, graph, utts, 0,
+                                     [-6.0, 3.0, None], ["white", "babble"], 0)
+        if oracle_mode is not None:
+            add_oracle_targets(items, world.config.num_states, oracle_mode)
         return world, items
 
     def test_training_item_targets_equal_per_item_solves(self):
-        # build_training_items solves all items' oracle targets in one run
+        # add_oracle_targets solves all items' oracle targets in one run
         world, items = self._training_items("renormalized")
         for item in items:
             alone = oracle_weights(

@@ -18,7 +18,8 @@ from avfusion.nn.layers import (
     LogSoftmax,
     Network,
     ReLU,
-    _sigmoid,
+    _lstm_backward,
+    _lstm_forward,
     build_network,
     load_checkpoint,
     save_checkpoint,
@@ -26,6 +27,111 @@ from avfusion.nn.layers import (
 from avfusion.nn.losses import ce_loss, mse_loss
 from avfusion.nn.optim import Adam, adam_step
 from avfusion.nn.training import TrainConfig, evaluate, pad_batch, train
+
+# The recurrence as it stood before its sigmoid gate columns were halved
+# ahead of the loop, kept here as the reference the kernels must equal bit
+# for bit.
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (1 + tanh(x / 2)): stable on both tails, one transcendental;
+    ``out`` may be ``x`` itself."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _reference_lstm_forward(x, keep, wx, wh, b):
+    """K independent LSTM recurrences run in lockstep.
+
+    x is (K, B, T, D), keep a boolean (K, B, T) mask, and the weights carry
+    the same leading K axis. Gate columns are laid out [input, forget,
+    output, candidate]. Inside, the gates of frame t are the (K, 4, H, B)
+    block ``gates[t]`` and the states are (K, H, B): batch-last blocks keep
+    every per-step operation on contiguous memory. Returns the (K, B, T, H)
+    states and a cache.
+    """
+    k_dir, bsz, t_len, d_in = x.shape
+    hid = wh.shape[1]
+    xt = x.transpose(0, 2, 1, 3).reshape(k_dir, t_len * bsz, d_in)
+    proj = xt @ wx
+    proj += b[:, None, :]
+    # the projected inputs become the activated gates, in place
+    gates = np.ascontiguousarray(
+        proj.reshape(k_dir, t_len, bsz, 4, hid).transpose(1, 0, 3, 4, 2))
+    keep_t = keep.transpose(2, 0, 1)[:, :, None, :]  # (T, K, 1, B)
+    wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
+    h = np.zeros((k_dir, hid, bsz))
+    c = np.zeros((k_dir, hid, bsz))
+    hs = np.empty((t_len, k_dir, hid, bsz))
+    cs = np.empty_like(hs)
+    tcs = np.empty_like(hs)
+    for t in range(t_len):
+        z = gates[t]
+        z += (wh_t @ h).reshape(z.shape)
+        _sigmoid(z[:, :3], out=z[:, :3])
+        np.tanh(z[:, 3], out=z[:, 3])
+        c_cand = z[:, 1] * c
+        c_cand += z[:, 0] * z[:, 3]
+        tc = np.tanh(c_cand, out=tcs[t])
+        # padded frames hold the previous state
+        np.copyto(c, c_cand, where=keep_t[t])
+        np.copyto(h, z[:, 2] * tc, where=keep_t[t])
+        cs[t] = c
+        hs[t] = h
+    return hs.transpose(1, 3, 0, 2), (xt, keep_t, hs, cs, tcs, gates)
+
+
+def _reference_lstm_backward(dh_seq, cache, wx, wh):
+    """Backward of ``_reference_lstm_forward``; dh_seq is (K, B, T, H). Returns dx
+    (K, B, T, D) and the stacked dwx, dwh, db."""
+    xt, keep_t, hs, cs, tcs, gates = cache
+    t_len, k_dir, hid, bsz = hs.shape
+    dh_seq = np.ascontiguousarray(dh_seq.transpose(2, 0, 3, 1))
+    i, f, o, g = (gates[:, :, j] for j in range(4))
+    # per-frame factors: the pre-activation gradient of each gate is its
+    # factor times dc, except the output gate's, which is its factor times
+    # dh; built in place, as large temporaries are costly to allocate
+    factor = np.empty_like(gates)
+    np.subtract(1.0, gates[:, :, :3], out=factor[:, :, :3])
+    factor[:, :, :3] *= gates[:, :, :3]
+    factor[:, :, 0] *= g
+    factor[1:, :, 1] *= cs[:-1]
+    factor[0, :, 1] = 0.0  # the state before the first frame is zero
+    factor[:, :, 2] *= tcs
+    np.multiply(g, g, out=factor[:, :, 3])
+    np.subtract(1.0, factor[:, :, 3], out=factor[:, :, 3])
+    factor[:, :, 3] *= i
+    dc_from_h = np.multiply(tcs, tcs)
+    np.subtract(1.0, dc_from_h, out=dc_from_h)
+    dc_from_h *= o
+    dpre_all = np.empty_like(gates)
+    # a 0/1 float mask splits each state gradient exactly into the part a
+    # valid frame consumes (x * m) and the part a padded frame passes back
+    # unchanged (x - x * m)
+    mask_t = keep_t.astype(np.float64)
+    dh_next = np.zeros((k_dir, hid, bsz))
+    dc_next = np.zeros((k_dir, hid, bsz))
+    for t in range(t_len - 1, -1, -1):
+        dh = dh_seq[t] + dh_next
+        dh_cand = dh * mask_t[t]
+        dc_in = dc_next * mask_t[t]
+        dc_cand = dc_in + dh_cand * dc_from_h[t]
+        dc_next = (dc_next - dc_in) + dc_cand * f[t]
+        dpre = np.multiply(factor[t], dc_cand[:, None], out=dpre_all[t])
+        np.multiply(factor[t, :, 2], dh_cand, out=dpre[:, 2])
+        dh_next = (dh - dh_cand) + wh @ dpre.reshape(k_dir, 4 * hid, bsz)
+    flat_d = dpre_all.transpose(1, 0, 4, 2, 3).reshape(
+        k_dir, t_len * bsz, 4 * hid)
+    # frame t's gates see the state of frame t - 1 (zero before frame 0)
+    h_prev = hs[:-1].transpose(1, 2, 0, 3).reshape(k_dir, hid, -1)
+    dwx = xt.transpose(0, 2, 1) @ flat_d
+    dwh = h_prev @ flat_d[:, bsz:]
+    db = flat_d.sum(axis=1)
+    dx = (flat_d @ wx.transpose(0, 2, 1)).reshape(k_dir, t_len, bsz, -1)
+    return dx.transpose(0, 2, 1, 3), dwx, dwh, db
 
 
 class TestForward:
@@ -291,6 +397,30 @@ class TestKernelReferences:
                 npt.assert_allclose(bi.grads[f"{name}_{tag}"],
                                     single.grads[name], rtol=0.0,
                                     atol=1e-13)
+
+    @pytest.mark.parametrize("k_dir", [1, 2])
+    def test_lstm_kernels_bit_equal_to_reference(self, k_dir):
+        rng = np.random.default_rng(40 + k_dir)
+        bsz, t_len, d_in, hid = 6, 9, 4, 5
+        for lengths in ([t_len] * bsz, rng.integers(1, t_len + 1, bsz)):
+            x = rng.standard_normal((k_dir, bsz, t_len, d_in))
+            keep = np.arange(t_len)[None, None, :] < \
+                np.asarray(lengths)[None, :, None]
+            keep = np.repeat(keep, k_dir, axis=0)
+            if k_dir == 2:
+                keep[1] = keep[1, :, ::-1]
+            wx = rng.standard_normal((k_dir, d_in, 4 * hid)) * 0.5
+            wh = rng.standard_normal((k_dir, hid, 4 * hid)) * 0.5
+            b = rng.standard_normal((k_dir, 4 * hid))
+            hs, cache = _lstm_forward(x, keep, wx, wh, b)
+            ref_hs, ref_cache = _reference_lstm_forward(x, keep, wx, wh, b)
+            assert hs.tobytes() == ref_hs.tobytes()
+            dh = rng.standard_normal(hs.shape)
+            got = _lstm_backward(dh, cache, wx, wh)
+            want = _reference_lstm_backward(dh, ref_cache, wx, wh)
+            for name, a, r in zip(("dx", "dwx", "dwh", "db"), got, want):
+                assert a.shape == r.shape, name
+                assert a.tobytes() == r.tobytes(), name
 
     def test_recurrent_layers_refuse_non_binary_mask(self):
         rng, x, mask = self._ragged_case(37)

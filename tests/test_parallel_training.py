@@ -1,8 +1,11 @@
-"""Learned fusers of a seed train in forked worker processes: the results
-must not depend on the worker count or the BLAS thread count, and a failing
-or dying worker must end in a named error, never a hang."""
+"""Learned fusers of a seed train in forked worker processes, on items
+built in slices on a fork pool, while the parent evaluates what needs no
+trained model: the results must not depend on the worker count or the
+BLAS thread count, and a failing or dying worker, or a failure of the
+parent's own work, must end in a named error, never a hang."""
 
 import contextlib
+import hashlib
 import json
 import multiprocessing
 import os
@@ -10,6 +13,7 @@ import signal
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from avfusion import blas, experiment
@@ -96,10 +100,10 @@ def cfg_path(tmp_path):
     return str(path)
 
 
-def _train(setup):
+def _train(setup, parent_work=None):
     cfg, world, graph = setup
     return experiment.train_strategy_models(cfg, world, graph, 0,
-                                            cfg["strategies"])
+                                            cfg["strategies"], parent_work)
 
 
 @needs_fork
@@ -258,3 +262,113 @@ def test_single_learned_strategy_trains_in_process(setup, monkeypatch):
         cfg, world, graph, 0, ["ao", "dfn-lstm"])
     assert models == {"dfn-lstm": os.getpid()}
     assert val_ce == {"dfn-lstm": 0.5}
+
+
+def test_single_learned_strategy_with_parent_work_forks(setup, monkeypatch):
+    cfg, world, graph = setup
+    ran = []
+
+    def fake_train_dfn(*args, **kwargs):
+        return os.getpid(), {"best_val": 0.5}
+
+    monkeypatch.setattr(experiment, "train_dfn", fake_train_dfn)
+    _cpus(monkeypatch, 2)
+    models, _ = experiment.train_strategy_models(
+        cfg, world, graph, 0, ["ao", "dfn-lstm"],
+        lambda: ran.append(os.getpid()))
+    assert ran == [os.getpid()]
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    assert (models["dfn-lstm"] != os.getpid()) == fork
+
+
+def _items_digest(train_items, val_items, *args, **kwargs):
+    """A train_dfn / train_weight_estimator stand-in whose "model" is a
+    SHA-256 over every array of the items it was given, in order."""
+    digest = hashlib.sha256()
+    for item in train_items + val_items:
+        for key in sorted(item):
+            values = item[key]
+            for arr in values if isinstance(values, list) else [values]:
+                digest.update(key.encode() + np.asarray(arr).tobytes())
+    return digest.hexdigest(), {"best_val": 0.0}
+
+
+@needs_fork
+def test_pool_items_equal_serial_items(setup, monkeypatch):
+    cfg, world, graph = setup
+    monkeypatch.setattr(experiment, "train_dfn", _items_digest)
+    monkeypatch.setattr(experiment, "train_weight_estimator", _items_digest)
+    strategies = ["dsw-mse", "dfn-lstm"]  # dsw-mse adds the oracle targets
+    digests = {}
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        models, _ = experiment.train_strategy_models(cfg, world, graph, 0,
+                                                     strategies)
+        digests[cpus] = models
+    assert digests[2] == digests[1]
+    assert len(set(digests[1].values())) == 1
+
+
+@needs_fork
+def test_mixed_sweep_bytes_independent_of_workers(tmp_path, monkeypatch):
+    doc = json.loads(json.dumps(TWO_DFN))
+    doc["strategies"] = ["ao", "early", "static", "oracle", "dsw-ce",
+                         "dfn-blstm"]
+    cfg_path = tmp_path / "mixed.json"
+    cfg_path.write_text(json.dumps(doc))
+    outputs = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("sweep.json", "sweep.csv")])
+    assert outputs[0] == outputs[1]
+
+
+@needs_fork
+def test_parent_work_failure_stops_workers_at_once(setup, monkeypatch):
+    def train_dfn(*args, **kwargs):
+        time.sleep(30)
+        raise AssertionError("the training worker was not stopped")
+
+    def parent_work():
+        raise ValueError("parent boom")
+
+    monkeypatch.setattr(experiment, "train_dfn", train_dfn)
+    _cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with _deadline(120), pytest.raises(ValueError, match="parent boom"):
+        _train(setup, parent_work)
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("die", [False, True], ids=["raises", "dies"])
+def test_worker_failure_during_parent_work_is_raised_after_it(
+        setup, monkeypatch, die):
+    def train_dfn(train_items, val_items, variant, *args, **kwargs):
+        if variant == "lstm":
+            return "lstm", {"best_val": 0.0}
+        time.sleep(0.5)
+        if die:
+            os._exit(3)
+        raise ValueError("boom")
+
+    finished = []
+
+    def parent_work():
+        time.sleep(2)
+        finished.append(True)
+
+    monkeypatch.setattr(experiment, "train_dfn", train_dfn)
+    _cpus(monkeypatch, 2)
+    message = (r"worker died while training dfn-blstm for seed 0" if die
+               else r"dfn-blstm for seed 0 failed: ValueError: boom")
+    with _deadline(120), pytest.raises(experiment.TrainingError,
+                                       match=message):
+        _train(setup, parent_work)
+    assert finished == [True]
+    assert multiprocessing.active_children() == []

@@ -576,7 +576,7 @@ def test_training_items_are_cells(monkeypatch):
 
     monkeypatch.setattr(experiment, "mix_noise", recorded)
     items = experiment.build_training_items(
-        world, graph, utts, [-3.0, None], ["white", "babble"], 5, None)
+        world, graph, utts, 0, [-3.0, None], ["white", "babble"], 5)
     assert len(mixed) == len(items) == len(utts)
     for item, noisy in zip(items, mixed):
         # a copy starts with no log-mel memo of the item build
