@@ -48,11 +48,12 @@ else the config's out_dir; thread count from --threads, else
 AVFUSION_THREADS, else 1. The thread count governs only the per-utterance
 work of `extract` and `fuse`: `train` and `sweep` build a seed's training
 items in slices on forked processes, one per usable CPU, and train its
-learned models in forked processes, one per model up to the usable CPUs.
-Meanwhile `sweep` evaluates the strategies that need no trained model in
-this process; a training process that fails in the meantime is reported
-when that evaluation returns. Every stage runs with
-BLAS pinned to one thread, so neither count changes the output bytes.
+learned models in forked processes, one per model up to the usable CPUs
+(only a platform without fork runs them here, in turn). Meanwhile `sweep`
+evaluates the strategies that need no trained model in this process; a
+training process that fails in the meantime is reported when that
+evaluation returns. Every stage runs with BLAS pinned to one thread, so
+neither count changes the output bytes.
 
 Exit codes: 0 success, 1 runtime failure (including missing prerequisite
 artifacts, and damaged ones or ones written for another run, which the
@@ -77,6 +78,7 @@ from .core import (
     UtteranceRecord,
     read_manifest,
     read_matrix,
+    reading_artifact,
     write_manifest,
     write_matrix,
 )
@@ -274,7 +276,8 @@ def _cmd_extract(args) -> int:
     out = _out_dir(args, cfg)
     threads = _thread_count(args)
     manifest_path = _require(out / "manifest.json", "synth")
-    world_path, records = read_manifest(manifest_path)
+    with reading_artifact(manifest_path):
+        world_path, records = read_manifest(manifest_path)
     seed = int(cfg["seeds"][0])
     world = _world_for_seed(cfg, seed, calibrated=True)
     utts = test_split(cfg, world)
@@ -404,7 +407,8 @@ def _cmd_decode(args) -> int:
                     path = _require(
                         out / "fused" / strat / f"seed{seed}" /
                         f"{utt.utt_id}.{label}.avpf", "fuse")
-                    res = viterbi_decode(read_matrix(path), graph)
+                    with reading_artifact(path):
+                        res = viterbi_decode(read_matrix(path), graph)
                     hyps[label][utt.utt_id] = {
                         "words": res.words,
                         "log_score": round(float(res.log_score), 6)}
@@ -433,15 +437,20 @@ def _cmd_evaluate(args) -> int:
         for seed in seeds:
             path = _require(out / "decode" / f"{strat}.seed{seed}.json",
                             "decode")
-            hyps = json.loads(path.read_text())
-            for lab in labels:
-                if lab not in hyps:
-                    raise MissingArtifact(
-                        f"condition {lab!r} absent from {path}; run the "
-                        f"`decode` subcommand first for that condition")
-                reports = [wer(refs[seed][uid], entry["words"])
-                           for uid, entry in sorted(hyps[lab].items())]
-                per_seed[lab].append(pool_reports(reports).wer)
+            with reading_artifact(path):
+                hyps = json.loads(path.read_text())
+                for lab in labels:
+                    if lab not in hyps:
+                        raise MissingArtifact(
+                            f"condition {lab!r} absent from {path}; run the "
+                            f"`decode` subcommand first for that condition")
+                    if sorted(hyps[lab]) != sorted(refs[seed]):
+                        raise ArtifactError(
+                            f"{path}: condition {lab!r} does not list this "
+                            f"config's test utterances")
+                    reports = [wer(refs[seed][uid], entry["words"])
+                               for uid, entry in sorted(hyps[lab].items())]
+                    per_seed[lab].append(pool_reports(reports).wer)
         for lab in labels:
             vals = per_seed[lab]
             results[strat][lab] = {
@@ -478,14 +487,16 @@ def _cmd_report(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
     path = _require(out / "sweep.json", "sweep")
-    doc = json.loads(path.read_text())
-    result = SweepResult(
-        strategies=list(doc["strategies"]),
-        labels=list(doc["conditions"]),
-        seeds=[int(s) for s in doc["seeds"]],
-        per_seed_wer={s: {lab: list(doc["wer"][s][lab]["per_seed"])
-                          for lab in doc["conditions"]}
-                      for s in doc["strategies"]})
+    with reading_artifact(path):
+        doc = json.loads(path.read_text())
+        result = SweepResult(
+            strategies=list(doc["strategies"]),
+            labels=list(doc["conditions"]),
+            seeds=[int(s) for s in doc["seeds"]],
+            per_seed_wer={s: {lab: [float(v) for v in
+                                    doc["wer"][s][lab]["per_seed"]]
+                              for lab in doc["conditions"]}
+                          for s in doc["strategies"]})
     write_report_csv(out / "report.csv", result)
     width = max(len(s) for s in result.strategies)
     print("strategy".ljust(width) + "  " +

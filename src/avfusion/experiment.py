@@ -6,14 +6,15 @@ per SNR condition from -9 dB to +9 dB plus clean, and a trailing average
 column. WER is pooled over utterances within a (strategy, condition, seed)
 cell and averaged across seeds for the table.
 
-Within a seed the usable CPUs stay busy where they can: training items are
-built in slices on a fork pool, the learned strategies train in forked
-workers that inherit them, and meanwhile this process builds the seed's
-test cells and fuses, decodes and keeps the strategies that need no
-trained model (``run_sweep``'s ``parent_work`` to
-``train_strategy_models``). A worker's failure surfaces once that work
-returns. The learned strategies are fused and decoded when their models
-are back.
+Within a seed the usable CPUs stay busy where they can. Training items
+are built in slices on a fork pool, and the learned strategies train on a
+second one, whose workers inherit the items; both go through one helper
+(``_fork_map``), which runs the calls in turn only where the platform
+cannot fork. Meanwhile this process builds the seed's test cells and
+fuses, decodes and keeps the strategies that need no trained model
+(``run_sweep``'s ``parent_work`` to ``train_strategy_models``). A worker's
+failure surfaces once that work returns. The learned strategies are fused
+and decoded when their models are back.
 """
 
 from __future__ import annotations
@@ -262,10 +263,11 @@ def add_oracle_targets(items: list[dict], num_states: int,
 _SPLITS = {"train": (0, 0), "val": (100_000, 1)}
 
 
-def _item_slice(cfg: dict, world: World, graph: DecodingGraph, seed: int,
-                split: str, lo: int, hi: int) -> list[dict]:
+def _item_slice(job: tuple, split: str, lo: int, hi: int) -> list[dict]:
     """Items ``lo`` to ``hi - 1`` of one of a seed's splits, from
-    utterances sampled here: a slice needs nothing but its bounds."""
+    utterances sampled here: a slice needs nothing but its bounds and the
+    seed's (cfg, world, graph, seed) ``job``."""
+    cfg, world, graph, seed = job
     c = cfg["corpus"]
     offset, noise = _SPLITS[split]
     utts = _sample_split(world, range(lo, hi), offset,
@@ -286,16 +288,6 @@ def usable_cpus() -> int:
 class TrainingError(RuntimeError):
     """Training a learned strategy failed; the message names it and the
     seed."""
-
-
-# (cfg, seed, num_states, train_items, val_items) of the seed being
-# trained, set only while a training pool forks its workers, which
-# inherit it (``_train_on_pool``)
-_WORKER_JOB = None
-
-
-def _train_in_worker(strat: str) -> tuple:
-    return _train_one(_WORKER_JOB, strat)
 
 
 def _train_one(job: tuple, strat: str) -> tuple:
@@ -322,20 +314,16 @@ def _train_one(job: tuple, strat: str) -> tuple:
     return model, history["best_val"]
 
 
-def _training_job(cfg: dict, world: World, seed: int, needed: list[str],
-                  items: dict[str, list[dict]]) -> tuple:
-    """The job ``_train_one`` takes, from a seed's items by split."""
-    num_states = world.config.num_states
-    if "dsw-mse" in needed:
-        # dsw-mse regresses on the oracle weights it is scored beside
-        add_oracle_targets(items["train"] + items["val"], num_states,
-                           cfg["oracle_mode"])
-    return cfg, seed, num_states, items["train"], items["val"]
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+# the job of the calls a fork pool runs (``_fork_map``), set only while
+# they are submitted: the pool forks its workers at the first submit, and
+# they inherit it
+_WORKER_JOB = None
 
 
-def _fork_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+def _call_with_job(fn, *call):
+    return fn(_WORKER_JOB, *call)
 
 
 def _stop_workers(pool: ProcessPoolExecutor) -> None:
@@ -361,65 +349,69 @@ def _wait(futures: list, tasks: list[str], seed: int) -> None:
         unfinished = [task for task, f in zip(tasks, futures)
                       if f.done() and f.exception() is not None]
         raise TrainingError(
-            f"a training worker died while {', '.join(unfinished)} "
+            f"a worker died while {', '.join(unfinished)} "
             f"for seed {seed}: {error}") from error
     raise error
 
 
-def _pool_items(cfg: dict, world: World, graph: DecodingGraph,
-                seed: int) -> dict[str, list[dict]]:
-    """A seed's items by split, each split built in ordered slices, one
-    per usable CPU, on a fork pool."""
-    workers = usable_cpus()
-    c = cfg["corpus"]
-    slices = [(split, c[split] * k // workers, c[split] * (k + 1) // workers)
-              for split in _SPLITS for k in range(workers)]
-    slices = [s for s in slices if s[1] < s[2]]
-    with _fork_pool(workers) as pool:
-        try:
-            parts = [pool.submit(_item_slice, cfg, world, graph, seed, *s)
-                     for s in slices]
-            _wait(parts, [f"building {split} items {lo}-{hi - 1}"
-                          for split, lo, hi in slices], seed)
-        except BaseException:
-            _stop_workers(pool)
-            raise
-    items: dict[str, list[dict]] = {split: [] for split in _SPLITS}
-    for (split, _, _), part in zip(slices, parts):
-        items[split] += part.result()
-    return items
+def _fork_map(fn, job: tuple, calls: list[tuple], tasks: list[str],
+              seed: int, parent_work=None) -> list:
+    """``fn(job, *call)`` for each of ``calls`` (``tasks`` of ``seed``), in
+    order, on a fork pool of one worker per call up to the usable CPUs,
+    while ``parent_work`` (a callable, if given) runs here; where the
+    platform cannot fork, the calls and then ``parent_work`` run here.
 
-
-def _train_on_pool(job: tuple, needed: list[str],
-                   parent_work) -> list[tuple]:
-    """Train the strategies of ``needed`` on ``job`` on a fork pool, one
-    worker per strategy up to the usable CPUs, while ``parent_work`` runs
-    in this process. Results in ``needed`` order.
-
-    Any failure, in a worker or in ``parent_work``, stops the other
-    workers and is raised at once; a worker's failure while
+    The workers inherit ``job``, and this process drops it before
+    ``parent_work``. Any failure, in a worker or in ``parent_work``, stops
+    the workers and is raised at once; a worker's failure while
     ``parent_work`` runs surfaces when it returns.
     """
     global _WORKER_JOB
-    seed = job[1]
-    tasks = [f"training {strat}" for strat in needed]
-    with _fork_pool(min(len(needed), usable_cpus())) as pool:
+    work = parent_work or (lambda: None)
+    if not _CAN_FORK:
+        results = [fn(job, *call) for call in calls]
+        work()
+        return results
+    with ProcessPoolExecutor(
+            max_workers=min(len(calls), usable_cpus()),
+            mp_context=multiprocessing.get_context("fork")) as pool:
         try:
-            # a fork pool forks all its workers at the first submit, and
-            # they inherit the job; this process then drops it, so that
-            # the items do not stay in its memory while parent_work runs
             _WORKER_JOB, job = job, None
             try:
-                futures = [pool.submit(_train_in_worker, strat)
-                           for strat in needed]
+                futures = [pool.submit(_call_with_job, fn, *call)
+                           for call in calls]
             finally:
                 _WORKER_JOB = None
-            parent_work()
+            work()
             _wait(futures, tasks, seed)
         except BaseException:
             _stop_workers(pool)
             raise
     return [f.result() for f in futures]
+
+
+def _training_job(cfg: dict, world: World, graph: DecodingGraph, seed: int,
+                  needed: list[str]) -> tuple:
+    """The job ``_train_one`` takes: a seed's items by split, each split
+    built in ordered slices, one per usable CPU, with the oracle targets
+    where ``needed`` asks for them."""
+    workers = usable_cpus()
+    c = cfg["corpus"]
+    slices = [(split, c[split] * k // workers, c[split] * (k + 1) // workers)
+              for split in _SPLITS for k in range(workers)]
+    slices = [s for s in slices if s[1] < s[2]]
+    parts = _fork_map(_item_slice, (cfg, world, graph, seed), slices,
+                      [f"building {split} items {lo}-{hi - 1}"
+                       for split, lo, hi in slices], seed)
+    items: dict[str, list[dict]] = {split: [] for split in _SPLITS}
+    for (split, _, _), part in zip(slices, parts):
+        items[split] += part
+    num_states = world.config.num_states
+    if "dsw-mse" in needed:
+        # dsw-mse regresses on the oracle weights it is scored beside
+        add_oracle_targets(items["train"] + items["val"], num_states,
+                           cfg["oracle_mode"])
+    return cfg, seed, num_states, items["train"], items["val"]
 
 
 @single_blas_thread()
@@ -431,34 +423,26 @@ def train_strategy_models(cfg: dict, world: World, graph: DecodingGraph,
 
     Returns (models by strategy, best validation CE by strategy).
 
-    With two or more usable CPUs and ``fork``, the training and
-    validation items are built in ordered slices on a fork pool, and each
-    strategy trains in a worker of a second fork pool, which inherits the
-    items, while ``parent_work`` runs here. Otherwise, and for
-    a lone strategy with no ``parent_work``, everything runs here in
-    turn. Each strategy trains from its own seed on the same items, with
-    BLAS at one thread, so the results do not depend on which way they
-    were computed.
+    The training and validation items are built in ordered slices, one
+    per usable CPU, on a fork pool; then each strategy trains in a worker
+    of a second fork pool, which inherits the items, while
+    ``parent_work`` runs here (``_fork_map``). Each strategy trains from
+    its own seed on the same items, with BLAS at one thread, so the
+    results depend neither on the number of workers nor on whether the
+    platform could fork.
     """
     needed = [s for s in strategies if s in TRAINED_STRATEGIES]
-    work = parent_work or (lambda: None)
     if not needed:
-        work()
+        if parent_work is not None:
+            parent_work()
         return {}, {}
-    if usable_cpus() < 2 or \
-            "fork" not in multiprocessing.get_all_start_methods() or \
-            (len(needed) == 1 and parent_work is None):
-        c = cfg["corpus"]
-        job = _training_job(cfg, world, seed, needed, {
-            split: _item_slice(cfg, world, graph, seed, split, 0, c[split])
-            for split in _SPLITS})
-        trained = [_train_one(job, strat) for strat in needed]
-        work()
-    else:
-        trained = _train_on_pool(
-            _training_job(cfg, world, seed, needed,
-                          _pool_items(cfg, world, graph, seed)),
-            needed, work)
+    # the job is built in the call, so that no name here keeps the items
+    # while parent_work runs
+    trained = _fork_map(_train_one,
+                        _training_job(cfg, world, graph, seed, needed),
+                        [(strat,) for strat in needed],
+                        [f"training {strat}" for strat in needed],
+                        seed, parent_work)
     models = {strat: model for strat, (model, _) in zip(needed, trained)}
     val_ce = {strat: best for strat, (_, best) in zip(needed, trained)}
     return models, val_ce

@@ -524,3 +524,71 @@ class TestDamagedModels:
                      "--snr", "clean"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(target) in err, err
+
+
+def _drop_first_utterance(doc):
+    del doc["0"][sorted(doc["0"])[0]]
+
+
+# per damage: the command that reads the file, the file under the output
+# directory, and the damage
+STAGED_DAMAGES = {
+    "manifest-truncated": ("extract", "manifest.json", _truncate),
+    "manifest-without-utterances": (
+        "extract", "manifest.json",
+        _edit_json(lambda doc: doc.pop("utterances"))),
+    "fused-truncated-header": (
+        "decode", "fused/ao/seed0/u200000.0.avpf",
+        lambda p: p.write_bytes(p.read_bytes()[:3])),
+    "fused-of-wrong-shape": (
+        "decode", "fused/ao/seed0/u200000.0.avpf",
+        lambda p: write_matrix(p, np.zeros((4, 5)))),
+    "decode-truncated": ("evaluate", "decode/ao.seed0.json", _truncate),
+    "decode-without-words": (
+        "evaluate", "decode/ao.seed0.json",
+        _edit_json(lambda doc: doc["0"]["u200000"].pop("words"))),
+    "decode-missing-utterance": (
+        "evaluate", "decode/ao.seed0.json",
+        _edit_json(_drop_first_utterance)),
+    "decode-foreign-utterance": (
+        "evaluate", "decode/ao.seed0.json",
+        _edit_json(lambda doc: doc["0"].__setitem__(
+            "u999999", doc["0"]["u200000"]))),
+    "sweep-truncated": ("report", "sweep.json", _truncate),
+    "sweep-without-wer": ("report", "sweep.json",
+                          _edit_json(lambda doc: doc.pop("wer"))),
+    "sweep-non-numeric-wer": (
+        "report", "sweep.json",
+        _edit_json(lambda doc: doc["wer"]["ao"]["0"].__setitem__(
+            "per_seed", ["x"]))),
+}
+
+
+class TestDamagedStagedArtifacts:
+    """A damaged manifest, fused matrix, decode file or sweep.json makes the
+    stage that reads it exit 1 with an error that names the file; so does
+    a decode file whose utterances are not the config's test split, which
+    evaluate would otherwise score as a subset."""
+
+    @pytest.fixture(scope="class")
+    def staged(self, tiny_cfg, tmp_path_factory):
+        out = tmp_path_factory.mktemp("staged")
+        for stage in ("synth", "extract", "train", "fuse", "decode",
+                      "evaluate", "sweep"):
+            assert main([stage, "--config", tiny_cfg, "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("kind", sorted(STAGED_DAMAGES))
+    def test_reader_exits_1_naming_the_file(self, tiny_cfg, staged,
+                                            tmp_path, capsys, kind):
+        command, name, damage = STAGED_DAMAGES[kind]
+        out = tmp_path / "out"
+        shutil.copytree(staged, out)
+        shutil.rmtree(out / "eval")
+        target = out / name
+        damage(target)
+        capsys.readouterr()
+        assert main([command, "--config", tiny_cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: "), err
+        assert not (out / "eval").exists()

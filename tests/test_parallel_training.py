@@ -1,8 +1,9 @@
 """Learned fusers of a seed train in forked worker processes, on items
 built in slices on a fork pool, while the parent evaluates what needs no
-trained model: the results must not depend on the worker count or the
-BLAS thread count, and a failing or dying worker, or a failure of the
-parent's own work, must end in a named error, never a hang."""
+trained model. The results must not depend on the worker count, the BLAS
+thread count or whether the platform can fork; a failing or dying worker,
+or a failure of the parent's own work, must end in a named error, never a
+hang; and the parent must not keep the job its workers inherit."""
 
 import contextlib
 import hashlib
@@ -42,7 +43,7 @@ TWO_DFN = {
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the platform cannot fork; training always runs serially")
+    reason="the platform cannot fork; training runs in this process")
 needs_openblas = pytest.mark.skipif(
     blas._openblas() is None, reason="numpy's bundled OpenBLAS not found")
 
@@ -52,7 +53,8 @@ def _blas_threads() -> int:
 
 
 def _cpus(monkeypatch, n: int) -> None:
-    """Pretend ``n`` usable CPUs: 2 forces the pool, 1 the serial path."""
+    """Pretend ``n`` usable CPUs: the fork pools get at most ``n``
+    workers."""
     monkeypatch.setattr(experiment, "usable_cpus", lambda: n)
 
 
@@ -110,7 +112,7 @@ def _train(setup, parent_work=None):
 def test_pool_and_serial_training_bit_identical(setup, monkeypatch):
     _cpus(monkeypatch, 2)
     pooled, pooled_ce = _train(setup)
-    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(experiment, "_CAN_FORK", False)
     serial, serial_ce = _train(setup)
     assert list(pooled) == list(serial) == ["dfn-lstm", "dfn-blstm"]
     assert pooled_ce == serial_ce
@@ -123,7 +125,6 @@ def test_pool_and_serial_training_bit_identical(setup, monkeypatch):
             serial[strat].input_mean.tobytes()
 
 
-@needs_fork
 def test_sweep_bytes_independent_of_workers_and_blas_threads(
         cfg_path, tmp_path, monkeypatch):
     outputs = []
@@ -203,6 +204,7 @@ def test_worker_exception_names_strategy_and_seed(setup, monkeypatch):
     with pytest.raises(experiment.TrainingError,
                        match=r"dfn-blstm for seed 0 failed: ValueError: boom"):
         _train(setup)
+    assert experiment._WORKER_JOB is None
 
 
 @needs_fork
@@ -213,6 +215,7 @@ def test_dead_worker_raises_instead_of_hanging(setup, monkeypatch):
     with _deadline(120), pytest.raises(experiment.TrainingError,
                                        match=r"worker died.*seed 0"):
         _train(setup)
+    assert experiment._WORKER_JOB is None
 
 
 @needs_fork
@@ -232,6 +235,7 @@ def test_failure_stops_other_workers_at_once(setup, monkeypatch):
         _train(setup)
     assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
+    assert experiment._WORKER_JOB is None
 
 
 @needs_fork
@@ -250,21 +254,11 @@ def test_train_command_exits_1_on_worker_failure(cfg_path, tmp_path,
     assert "dfn-blstm" in err and "seed 0" in err
 
 
-def test_single_learned_strategy_trains_in_process(setup, monkeypatch):
-    cfg, world, graph = setup
-
-    def fake_train_dfn(*args, **kwargs):
-        return os.getpid(), {"best_val": 0.5}
-
-    monkeypatch.setattr(experiment, "train_dfn", fake_train_dfn)
-    _cpus(monkeypatch, 2)
-    models, val_ce = experiment.train_strategy_models(
-        cfg, world, graph, 0, ["ao", "dfn-lstm"])
-    assert models == {"dfn-lstm": os.getpid()}
-    assert val_ce == {"dfn-lstm": 0.5}
-
-
-def test_single_learned_strategy_with_parent_work_forks(setup, monkeypatch):
+@needs_fork
+@pytest.mark.parametrize("with_parent_work", [True, False],
+                         ids=["with_parent_work", "alone"])
+def test_single_learned_strategy_forks(setup, monkeypatch,
+                                       with_parent_work):
     cfg, world, graph = setup
     ran = []
 
@@ -273,12 +267,12 @@ def test_single_learned_strategy_with_parent_work_forks(setup, monkeypatch):
 
     monkeypatch.setattr(experiment, "train_dfn", fake_train_dfn)
     _cpus(monkeypatch, 2)
-    models, _ = experiment.train_strategy_models(
+    models, val_ce = experiment.train_strategy_models(
         cfg, world, graph, 0, ["ao", "dfn-lstm"],
-        lambda: ran.append(os.getpid()))
-    assert ran == [os.getpid()]
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    assert (models["dfn-lstm"] != os.getpid()) == fork
+        (lambda: ran.append(os.getpid())) if with_parent_work else None)
+    assert ran == ([os.getpid()] if with_parent_work else [])
+    assert models["dfn-lstm"] != os.getpid()
+    assert val_ce == {"dfn-lstm": 0.5}
 
 
 def _items_digest(train_items, val_items, *args, **kwargs):
@@ -293,7 +287,6 @@ def _items_digest(train_items, val_items, *args, **kwargs):
     return digest.hexdigest(), {"best_val": 0.0}
 
 
-@needs_fork
 def test_pool_items_equal_serial_items(setup, monkeypatch):
     cfg, world, graph = setup
     monkeypatch.setattr(experiment, "train_dfn", _items_digest)
@@ -309,7 +302,6 @@ def test_pool_items_equal_serial_items(setup, monkeypatch):
     assert len(set(digests[1].values())) == 1
 
 
-@needs_fork
 def test_mixed_sweep_bytes_independent_of_workers(tmp_path, monkeypatch):
     doc = json.loads(json.dumps(TWO_DFN))
     doc["strategies"] = ["ao", "early", "static", "oracle", "dsw-ce",
@@ -343,6 +335,7 @@ def test_parent_work_failure_stops_workers_at_once(setup, monkeypatch):
         _train(setup, parent_work)
     assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
+    assert experiment._WORKER_JOB is None
 
 
 @needs_fork
@@ -361,7 +354,7 @@ def test_worker_failure_during_parent_work_is_raised_after_it(
 
     def parent_work():
         time.sleep(2)
-        finished.append(True)
+        finished.append(experiment._WORKER_JOB is None)
 
     monkeypatch.setattr(experiment, "train_dfn", train_dfn)
     _cpus(monkeypatch, 2)
@@ -372,3 +365,4 @@ def test_worker_failure_during_parent_work_is_raised_after_it(
         _train(setup, parent_work)
     assert finished == [True]
     assert multiprocessing.active_children() == []
+    assert experiment._WORKER_JOB is None
