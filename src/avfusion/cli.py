@@ -42,18 +42,19 @@ test utterances, so they draw the world without its stream models
 (`corpus.draw_world`).
 
 Every artifact is a deterministic function of the config plus seed, so any
-stage can be re-run in place and produces identical bytes.  The output
+stage can be re-run in place and produces identical bytes. The output
 directory comes from --out, else the AVFUSION_OUT environment variable,
-else the config's out_dir; thread count from --threads, else
-AVFUSION_THREADS, else 1. The thread count governs only the per-utterance
-work of `extract` and `fuse`: `train` and `sweep` build a seed's training
-items in slices on forked processes, one per usable CPU, and train its
-learned models in forked processes, one per model up to the usable CPUs
-(only a platform without fork runs them here, in turn). Meanwhile `sweep`
-evaluates the strategies that need no trained model in this process; a
-training process that fails in the meantime is reported when that
-evaluation returns. Every stage runs with BLAS pinned to one thread, so
-neither count changes the output bytes.
+else the config's out_dir. --threads, else AVFUSION_THREADS, is still
+accepted and must be a positive integer, but selects nothing: every stage
+builds its per-utterance cells in the calling thread, because a thread
+pool for `extract` and `fuse` measured no faster on two cores. `train` and
+`sweep` build a seed's training items in slices on forked processes, one
+per usable CPU, and train its learned models in forked processes, one per
+model up to the usable CPUs (only a platform without fork runs them here,
+in turn). Meanwhile `sweep` evaluates the strategies that need no trained
+model in this process; a training process that fails in the meantime is
+reported when that evaluation returns. Every stage runs with BLAS pinned
+to one thread, so the process count does not change the output bytes.
 
 Exit codes: 0 success, 1 runtime failure (including missing prerequisite
 artifacts, and damaged ones or ones written for another run, which the
@@ -99,6 +100,7 @@ from .experiment import (
     TRAINED_STRATEGIES,
     SweepResult,
     condition_cells,
+    condition_grid,
     condition_label,
     fuse_cells,
     mix_test_noise,
@@ -149,7 +151,8 @@ def _out_dir(args, cfg: dict) -> Path:
     return path
 
 
-def _thread_count(args) -> int:
+def _check_threads(args) -> None:
+    """Refuse --threads or AVFUSION_THREADS unless a positive integer."""
     raw = args.threads if args.threads is not None \
         else os.environ.get("AVFUSION_THREADS", "1")
     try:
@@ -158,7 +161,6 @@ def _thread_count(args) -> int:
         raise ConfigError(f"threads must be an integer, got {raw!r}")
     if n < 1:
         raise ConfigError(f"threads must be >= 1, got {n}")
-    return n
 
 
 def _strategies(args, cfg: dict, trained_only: bool = False) -> list[str]:
@@ -189,7 +191,7 @@ def _parse_condition(text: str) -> float | None:
 
 
 def _conditions(args, cfg: dict) -> list[float | None]:
-    grid = [float(s) for s in cfg["snr_grid"]] + [None]
+    grid = condition_grid(cfg)
     if getattr(args, "snr", None) is None:
         return grid
     wanted = _parse_condition(args.snr)
@@ -209,6 +211,19 @@ def _world_for_seed(cfg: dict, seed: int, calibrated: bool) -> World:
 
 def _streams_path(out: Path, seed: int) -> Path:
     return out / "models" / f"streams.seed{seed}.json"
+
+
+def _model_dir(out: Path, strategy: str, seed: int) -> Path:
+    return out / "models" / f"{strategy}.seed{seed}"
+
+
+def _fused_path(out: Path, strategy: str, seed: int, utt_id: str,
+                label: str) -> Path:
+    return out / "fused" / strategy / f"seed{seed}" / f"{utt_id}.{label}.avpf"
+
+
+def _decode_path(out: Path, strategy: str, seed: int) -> Path:
+    return out / "decode" / f"{strategy}.seed{seed}.json"
 
 
 def _trained_world(cfg: dict, out: Path, seed: int,
@@ -235,7 +250,7 @@ def _cmd_synth(args) -> int:
     seed = int(cfg["seeds"][0])
     world = _world_for_seed(cfg, seed, calibrated=False)
     utts = test_split(cfg, world)
-    conditions = [float(s) for s in cfg["snr_grid"]] + [None]
+    conditions = condition_grid(cfg)
     kinds = list(cfg["noise_kinds"])
 
     for sub in ("audio", "video", "align"):
@@ -274,7 +289,8 @@ def _cmd_synth(args) -> int:
 def _cmd_extract(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
-    threads = _thread_count(args)
+    _check_threads(args)
+    wanted = [condition_label(c) for c in _conditions(args, cfg)]
     manifest_path = _require(out / "manifest.json", "synth")
     with reading_artifact(manifest_path):
         world_path, records = read_manifest(manifest_path)
@@ -287,13 +303,12 @@ def _cmd_extract(args) -> int:
             f"the `synth` subcommand first with the same --config and --seed")
     labels = sorted({lab for r in records for lab in r.audio_paths})
     if args.snr is not None:
-        only = condition_label(_parse_condition(args.snr))
-        labels = [lab for lab in labels if lab == only]
-    cache = video_cache(world, utts, threads)
+        labels = [lab for lab in labels if lab in wanted]
+    cache = video_cache(world, utts)
     (out / "feats").mkdir(exist_ok=True)
     for label in labels:
         cells = condition_cells(world, utts, cache, _parse_condition(label),
-                                list(cfg["noise_kinds"]), seed, threads)
+                                list(cfg["noise_kinds"]), seed)
         for record, cell in zip(records, cells):
             mats = {s: cell.posts[s].frames for s in STREAMS}
             mats["rel"] = cell.rel
@@ -309,17 +324,20 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _model_dir(out: Path, strategy: str, seed: int) -> Path:
-    return out / "models" / f"{strategy}.seed{seed}"
-
-
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
     strategies = _strategies(args, cfg, trained_only=True)
     (out / "models").mkdir(exist_ok=True)
     score_path = out / "models" / "val_ce.json"
-    scores = json.loads(score_path.read_text()) if score_path.exists() else {}
+    scores = {}
+    if score_path.exists():
+        with reading_artifact(score_path):
+            scores = json.loads(score_path.read_text())
+            if not (isinstance(scores, dict) and all(
+                    isinstance(v, dict) for v in scores.values())):
+                raise ArtifactError(f"{score_path}: not a JSON object of "
+                                    f"per-strategy objects")
     for seed in [int(s) for s in cfg["seeds"]]:
         world = _world_for_seed(cfg, seed, calibrated=True)
         streams_path = _streams_path(out, seed)
@@ -359,7 +377,7 @@ def _load_models(out: Path, strategies: list[str], seed: int) -> dict:
 def _cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
-    threads = _thread_count(args)
+    _check_threads(args)
     strategies = _strategies(args, cfg)
     conditions = _conditions(args, cfg)
     written = 0
@@ -367,21 +385,20 @@ def _cmd_fuse(args) -> int:
         world = _trained_world(cfg, out, seed, strategies)
         models = _load_models(out, strategies, seed)
         utts = test_split(cfg, world)
-        cache = video_cache(world, utts, threads)
+        cache = video_cache(world, utts)
         for strat in strategies:
             (out / "fused" / strat / f"seed{seed}").mkdir(
                 parents=True, exist_ok=True)
         for cond in conditions:
             label = condition_label(cond)
             cells = condition_cells(world, utts, cache, cond,
-                                    list(cfg["noise_kinds"]), seed, threads)
+                                    list(cfg["noise_kinds"]), seed)
             fused_cells = fuse_cells(cells, strategies, world, models,
                                      cfg["oracle_mode"])
             for utt, fused in zip(utts, fused_cells):
                 for strat, mat in zip(strategies, fused):
-                    write_matrix(out / "fused" / strat / f"seed{seed}" /
-                                 f"{utt.utt_id}.{label}.avpf",
-                                 getattr(mat, "frames", mat))
+                    path = _fused_path(out, strat, seed, utt.utt_id, label)
+                    write_matrix(path, getattr(mat, "frames", mat))
                     written += 1
     print(f"fuse: wrote {written} fused matrices under {out / 'fused'}")
     return 0
@@ -405,16 +422,16 @@ def _cmd_decode(args) -> int:
                 hyps[label] = {}
                 for utt in utts:
                     path = _require(
-                        out / "fused" / strat / f"seed{seed}" /
-                        f"{utt.utt_id}.{label}.avpf", "fuse")
+                        _fused_path(out, strat, seed, utt.utt_id, label),
+                        "fuse")
                     with reading_artifact(path):
                         res = viterbi_decode(read_matrix(path), graph)
                     hyps[label][utt.utt_id] = {
                         "words": res.words,
                         "log_score": round(float(res.log_score), 6)}
                     count += 1
-            dest = out / "decode" / f"{strat}.seed{seed}.json"
-            dest.write_text(json.dumps(hyps, indent=1, sort_keys=True))
+            _decode_path(out, strat, seed).write_text(
+                json.dumps(hyps, indent=1, sort_keys=True))
     print(f"decode: wrote {count} hypotheses under {out / 'decode'}")
     return 0
 
@@ -435,8 +452,7 @@ def _cmd_evaluate(args) -> int:
         results[strat] = {}
         per_seed: dict = {lab: [] for lab in labels}
         for seed in seeds:
-            path = _require(out / "decode" / f"{strat}.seed{seed}.json",
-                            "decode")
+            path = _require(_decode_path(out, strat, seed), "decode")
             with reading_artifact(path):
                 hyps = json.loads(path.read_text())
                 for lab in labels:
@@ -526,8 +542,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "AVFUSION_OUT and the config)")
     common.add_argument("--seed", type=int,
                         help="restrict the run to this one seed")
-    common.add_argument("--threads", help="worker threads for per-utterance "
-                        "stages (default AVFUSION_THREADS or 1)")
+    common.add_argument("--threads", help="accepted and checked (a positive "
+                        "integer, default AVFUSION_THREADS or 1); every "
+                        "stage builds its cells in the calling thread")
 
     sub = parser.add_subparsers(dest="command")
 

@@ -22,12 +22,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
@@ -200,7 +195,7 @@ def _sample_split(world: World, indices: range, offset: int,
             for i in indices]
 
 
-def _conditions(cfg: dict) -> list:
+def condition_grid(cfg: dict) -> list:
     """The SNR grid in dB, then clean (None)."""
     return [float(s) for s in cfg["snr_grid"]] + [None]
 
@@ -272,7 +267,7 @@ def _item_slice(job: tuple, split: str, lo: int, hi: int) -> list[dict]:
     offset, noise = _SPLITS[split]
     utts = _sample_split(world, range(lo, hi), offset,
                          c["min_words"], c["max_words"])
-    return build_training_items(world, graph, utts, lo, _conditions(cfg),
+    return build_training_items(world, graph, utts, lo, condition_grid(cfg),
                                 list(cfg["noise_kinds"]), seed + noise)
 
 
@@ -463,35 +458,21 @@ def mix_test_noise(utt: Utterance, cond: float | None, kinds: list[str],
     return mix_noise(utt, kind, cond, seed=seed * 104729 + idx)
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    """Apply fn to each item, in parallel when asked, preserving order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def video_cache(world: World, utts: list[Utterance],
-                threads: int = 1) -> list[VideoPart]:
+def video_cache(world: World, utts: list[Utterance]) -> list[VideoPart]:
     """Per test utterance, its ``video_part``, computed once for all the
-    conditions."""
-    return _map_ordered(lambda utt: video_part(world, utt), utts, threads)
+    conditions, in the calling thread."""
+    return [video_part(world, utt) for utt in utts]
 
 
 def condition_cells(world: World, utts: list[Utterance], cache: list,
-                    cond: float | None, kinds: list[str], seed: int,
-                    threads: int = 1) -> list[Cell]:
-    """The cells of one condition, one per test utterance, in order.
-
-    ``cache`` is ``video_cache`` of the same utterances; ``threads`` maps
-    the utterances over a thread pool without changing the cells.
-    """
-
-    def one(idx: int) -> Cell:
-        noisy = mix_test_noise(utts[idx], cond, kinds, seed, idx)
-        return build_cell(world, noisy, cache[idx])
-
-    return _map_ordered(one, range(len(utts)), threads)
+                    cond: float | None, kinds: list[str],
+                    seed: int) -> list[Cell]:
+    """The cells of one condition, one per test utterance, in order, built
+    in the calling thread; ``cache`` is ``video_cache`` of the same
+    utterances."""
+    return [build_cell(world, mix_test_noise(utt, cond, kinds, seed, idx),
+                       cache[idx])
+            for idx, utt in enumerate(utts)]
 
 
 def _fuse_for_strategy(strategy: str, cell: Cell, world: World,
@@ -564,7 +545,7 @@ def _model_free_pass(cfg: dict, world: World, graph: DecodingGraph,
             _decode_into(rows, fused, strategies, graph)
         return [replace(cell, utt=None) for cell in cells], rows
 
-    return [one(cond) for cond in _conditions(cfg)]
+    return [one(cond) for cond in condition_grid(cfg)]
 
 
 def _decode_into(rows: list[dict], fused: list[list], strategies: list[str],
@@ -594,7 +575,7 @@ def run_sweep(cfg: dict, models_out: dict | None = None) -> SweepResult:
         raise ValueError(f"unknown strategies: {unknown}")
     learned = [s for s in strategies if s in TRAINED_STRATEGIES]
     model_free = [s for s in strategies if s not in learned]
-    labels = [condition_label(c) for c in _conditions(cfg)]
+    labels = [condition_label(c) for c in condition_grid(cfg)]
     seeds = [int(s) for s in cfg["seeds"]]
     result = SweepResult(strategies=strategies, labels=labels, seeds=seeds)
     counts: dict[str, dict[str, list[WerReport]]] = {

@@ -4,12 +4,13 @@ import json
 import shutil
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from avfusion import cli, corpus
+from avfusion import cli, corpus, experiment
 from avfusion.cli import main
 from avfusion.config import validate_config
 from avfusion.core import STREAMS, read_manifest, read_matrix, write_matrix
@@ -84,6 +85,12 @@ class TestExitCodes:
                      str(tmp_path / "o"), "--snr", "17"]) == 2
         assert "17" in capsys.readouterr().err
 
+    def test_extract_snr_outside_grid_exits_2(self, tiny_cfg, pipeline_out,
+                                              capsys):
+        assert main(["extract", "--config", tiny_cfg, "--out", pipeline_out,
+                     "--snr", "5"]) == 2
+        assert "not in the configured grid" in capsys.readouterr().err
+
     def test_bad_threads_exits_2(self, tiny_cfg, tmp_path, capsys):
         assert main(["extract", "--config", tiny_cfg, "--out",
                      str(tmp_path / "o"), "--threads", "zero"]) == 2
@@ -133,6 +140,26 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "synth" in proc.stdout
+
+
+class TestThreadsSelectNothing:
+    def test_cells_are_built_in_the_calling_thread(self, tiny_cfg, tmp_path,
+                                                   monkeypatch):
+        common = ["--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                  "--threads", "2"]
+        assert main(["synth"] + common) == 0
+        assert main(["train"] + common) == 0
+        real = experiment.build_cell
+        builders: dict = {}
+        for stage in ("extract", "fuse"):
+            def record(*args, stage=stage):
+                builders.setdefault(stage, set()).add(threading.get_ident())
+                return real(*args)
+
+            monkeypatch.setattr(experiment, "build_cell", record)
+            assert main([stage] + common) == 0
+        assert builders == {"extract": {threading.main_thread().ident},
+                            "fuse": {threading.main_thread().ident}}
 
 
 class TestSynthArtifacts:
@@ -561,14 +588,20 @@ STAGED_DAMAGES = {
         "report", "sweep.json",
         _edit_json(lambda doc: doc["wer"]["ao"]["0"].__setitem__(
             "per_seed", ["x"]))),
+    "val-ce-truncated": ("train", "models/val_ce.json", _truncate),
+    "val-ce-not-an-object": ("train", "models/val_ce.json",
+                             lambda p: p.write_text("[0.5]")),
+    "val-ce-entry-not-an-object": (
+        "train", "models/val_ce.json",
+        _edit_json(lambda doc: doc.__setitem__("dsw-ce", 0.5))),
 }
 
 
 class TestDamagedStagedArtifacts:
-    """A damaged manifest, fused matrix, decode file or sweep.json makes the
-    stage that reads it exit 1 with an error that names the file; so does
-    a decode file whose utterances are not the config's test split, which
-    evaluate would otherwise score as a subset."""
+    """A damaged manifest, val_ce.json, fused matrix, decode file or
+    sweep.json makes the stage that reads it exit 1 with an error that
+    names the file; so does a decode file whose utterances are not the
+    config's test split, which evaluate would otherwise score as a subset."""
 
     @pytest.fixture(scope="class")
     def staged(self, tiny_cfg, tmp_path_factory):
@@ -576,6 +609,9 @@ class TestDamagedStagedArtifacts:
         for stage in ("synth", "extract", "train", "fuse", "decode",
                       "evaluate", "sweep"):
             assert main([stage, "--config", tiny_cfg, "--out", str(out)]) == 0
+        # the config has no learned strategy; one writes models/val_ce.json
+        assert main(["train", "--strategy", "dsw-ce", "--config", tiny_cfg,
+                     "--out", str(out)]) == 0
         return out
 
     @pytest.mark.parametrize("kind", sorted(STAGED_DAMAGES))
