@@ -310,7 +310,7 @@ def _cmd_extract(args) -> int:
         cells = condition_cells(world, utts, cache, _parse_condition(label),
                                 list(cfg["noise_kinds"]), seed)
         for record, cell in zip(records, cells):
-            mats = {s: cell.posts[s].frames for s in STREAMS}
+            mats = {s: cell.posts[s] for s in STREAMS}
             mats["rel"] = cell.rel
             for name, mat in mats.items():
                 path = f"feats/{record.utt_id}.{label}.{name}.avpf"
@@ -398,7 +398,7 @@ def _cmd_fuse(args) -> int:
             for utt, fused in zip(utts, fused_cells):
                 for strat, mat in zip(strategies, fused):
                     path = _fused_path(out, strat, seed, utt.utt_id, label)
-                    write_matrix(path, getattr(mat, "frames", mat))
+                    write_matrix(path, mat)
                     written += 1
     print(f"fuse: wrote {written} fused matrices under {out / 'fused'}")
     return 0

@@ -51,63 +51,6 @@ def reading_artifact(path: str | Path):
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """Shared state inventory; identical for every stream of one world."""
-
-    num_states: int
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.num_states < 2:
-            raise ValueError(f"need at least 2 states, got {self.num_states}")
-        if len(self.labels) != self.num_states:
-            raise ValueError("label count does not match num_states")
-        if len(set(self.labels)) != self.num_states:
-            raise ValueError("state labels must be unique")
-
-
-@dataclass(frozen=True)
-class PosteriorSequence:
-    """Row-stochastic per-frame state posteriors for one stream."""
-
-    stream: str
-    frames: np.ndarray  # T x S, float64, rows sum to 1
-
-    def __post_init__(self):
-        if self.stream not in STREAMS:
-            raise ValueError(f"unknown stream {self.stream!r}")
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise ValueError("posterior matrix must be T x S with T >= 1")
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def num_states(self) -> int:
-        return self.frames.shape[1]
-
-
-@dataclass(frozen=True)
-class FusedLogPosterior:
-    """Fused log-pseudo-posteriors fed to the decoder; all entries finite."""
-
-    frames: np.ndarray  # T x S, float64 log-scores
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.frames)):
-            raise ValueError("fused log-posteriors must be finite")
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def num_states(self) -> int:
-        return self.frames.shape[1]
-
-
-@dataclass(frozen=True)
 class StreamWeights:
     """Per-frame weight vectors, one row per frame, one column per stream."""
 

@@ -1,6 +1,6 @@
 """Synthetic audio-visual toy world: vocabulary, word state chains, harmonic
 audio sources, glyph video, noise mixing at exact SNR, and closed-form
-per-stream state posteriors.
+per-stream state posteriors as plain (T, S) arrays at the audio frame rate.
 
 Every state owns a harmonic audio source (distinct fundamental plus a random
 harmonic envelope) and a smooth 32x32 glyph. Observation models are diagonal
@@ -13,6 +13,13 @@ adds it. ``save_stream_models`` writes a calibrated world's models to a
 file, with the learned strategies trained against them, and
 ``load_stream_models`` gives the drawn world those very models back
 without calibrating it.
+
+A condition changes the audio alone: ``mix_noise`` adds white or babble
+noise at an exact SNR and keeps the exact per-frame SNR as ``true_snr``,
+while the video an utterance is sampled with is the video every condition
+sees. ``save_audio_wav`` and ``save_video_raw`` write ``synth``'s export
+(16-bit PCM WAV, raw 8-bit frames); ``load_audio_wav`` and
+``load_video_raw`` read it back.
 """
 
 from __future__ import annotations
@@ -29,8 +36,6 @@ from .align import align_stream, bresenham_map
 from .core import (
     STREAMS,
     AlignmentTarget,
-    PosteriorSequence,
-    StateSpace,
     normalize_posteriors,
     reading_artifact,
 )
@@ -102,7 +107,6 @@ class World:
     seed: int
     vocabulary: list[str]
     lexicon: dict[str, list[int]]
-    state_space: StateSpace
     lm_initial: np.ndarray  # (V,)
     lm_bigram: np.ndarray  # (V, V) row-stochastic
     state_f0: np.ndarray  # (S,)
@@ -127,34 +131,18 @@ class World:
 
 
 @dataclass
-class VideoDistortion:
-    """One distorted frame range: [start, end) with the applied amounts."""
-
-    start: int
-    end: int
-    brightness: float = 0.0
-    blur_width: int = 0
-    rotation_deg: float = 0.0
-
-    def magnitude(self) -> float:
-        return (abs(self.brightness) / 0.3
-                + max(self.blur_width - 1, 0) / 4.0
-                + abs(self.rotation_deg) / 30.0)
-
-
-@dataclass
 class Utterance:
     utt_id: str
     words: list[str]
     alignment: AlignmentTarget
-    audio: np.ndarray  # possibly noisy waveform actually observed
-    audio_clean: np.ndarray
-    video: np.ndarray  # (Vf, 32, 32), possibly distorted
-    video_clean: np.ndarray
+    audio: np.ndarray  # waveform as heard: clean, or mixed by mix_noise
+    audio_clean: np.ndarray  # the source waveform before any noise
+    video: np.ndarray  # (Vf, 32, 32) glyph frames, which no condition changes
     confidence: np.ndarray  # (Vf,) synthetic tracker confidence
-    true_snr: np.ndarray  # (T,) per audio frame, dB
-    noise_component: np.ndarray | None = None
-    distortions: list[VideoDistortion] = field(default_factory=list)
+    # (T,) exact per-frame SNR in dB from the clean and noise parts,
+    # clipped to +-40 dB (+40 when clean): truth only the generator knows
+    true_snr: np.ndarray
+    noise_component: np.ndarray | None = None  # the scaled noise mixed in
     # not an init field, so ``replace`` (``mix_noise``) starts a new
     # utterance without it
     _log_mel: np.ndarray | None = field(default=None, init=False,
@@ -222,9 +210,6 @@ def draw_world(config: WorldConfig, seed: int = 0) -> World:
     lexicon = {w: list(range(i * cfg.states_per_word,
                              (i + 1) * cfg.states_per_word))
                for i, w in enumerate(vocabulary)}
-    labels = tuple(f"{w}_s{j}" for w in vocabulary
-                   for j in range(cfg.states_per_word))
-    state_space = StateSpace(cfg.num_states, labels)
 
     alpha = np.full(cfg.vocab_size, cfg.lm_concentration)
     lm_initial = rng.dirichlet(alpha)
@@ -247,9 +232,8 @@ def draw_world(config: WorldConfig, seed: int = 0) -> World:
     vs_projection = rng.standard_normal((cfg.vs_obs_dim, VIDEO_SIZE * VIDEO_SIZE))
     vs_projection /= np.linalg.norm(vs_projection, axis=1, keepdims=True)
 
-    return World(cfg, seed, vocabulary, lexicon, state_space,
-                 lm_initial, lm_bigram, state_f0, state_amps, glyphs,
-                 vs_projection)
+    return World(cfg, seed, vocabulary, lexicon, lm_initial, lm_bigram,
+                 state_f0, state_amps, glyphs, vs_projection)
 
 
 def build_world(config: WorldConfig, seed: int = 0) -> World:
@@ -349,7 +333,7 @@ def _synthesize_audio(world: World, frame_states: np.ndarray,
 
 
 def _render_video(world: World, frame_states: np.ndarray,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                  rng: np.random.Generator) -> np.ndarray:
     """Render glyph frames at 25 fps for an audio-rate state path."""
     t_frames = frame_states.shape[0]
     n = FRAME_SHIFT * t_frames + (FRAME_LEN - FRAME_SHIFT)
@@ -358,7 +342,7 @@ def _render_video(world: World, frame_states: np.ndarray,
         AUDIO_FRAMES_PER_VIDEO_FRAME * np.arange(vf), t_frames - 1)]
     frames = world.glyphs[vstates] + \
         world.config.pixel_noise * rng.standard_normal((vf, VIDEO_SIZE, VIDEO_SIZE))
-    return np.clip(frames, 0.0, 1.0), vstates
+    return np.clip(frames, 0.0, 1.0)
 
 
 def _vs_features(frames: np.ndarray, projection: np.ndarray) -> np.ndarray:
@@ -425,7 +409,7 @@ def sample_utterance(world: World, length_words: int, seed: int,
     frame_states = np.asarray(states, dtype=int)
     alignment = AlignmentTarget(frame_states, cfg.num_states)
     audio = _synthesize_audio(world, frame_states, rng)
-    video, _ = _render_video(world, frame_states, rng)
+    video = _render_video(world, frame_states, rng)
     confidence = np.clip(1.0 + 0.01 * rng.standard_normal(video.shape[0]),
                          0.0, 1.0)
     t_frames = frame_states.shape[0]
@@ -436,7 +420,6 @@ def sample_utterance(world: World, length_words: int, seed: int,
         audio=audio,
         audio_clean=audio,
         video=video,
-        video_clean=video.copy(),
         confidence=confidence,
         true_snr=np.full(t_frames, 40.0),
     )
@@ -479,60 +462,6 @@ def mix_noise(utterance: Utterance, noise_kind: str, snr_db: float | None,
                    true_snr=track)
 
 
-def _box_blur(img: np.ndarray, width: int) -> np.ndarray:
-    pad = width // 2
-    padded = np.pad(img, pad, mode="edge")
-    out = np.zeros_like(img)
-    for di in range(width):
-        for dj in range(width):
-            out += padded[di:di + img.shape[0], dj:dj + img.shape[1]]
-    return out / (width * width)
-
-
-def _rotate_nn(img: np.ndarray, degrees: float) -> np.ndarray:
-    theta = math.radians(degrees)
-    c, s = math.cos(theta), math.sin(theta)
-    n = img.shape[0]
-    center = (n - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(n) - center, np.arange(n) - center,
-                         indexing="ij")
-    src_y = np.clip(np.rint(c * yy + s * xx + center), 0, n - 1).astype(int)
-    src_x = np.clip(np.rint(-s * yy + c * xx + center), 0, n - 1).astype(int)
-    return img[src_y, src_x]
-
-
-def corrupt_video(frames: np.ndarray,
-                  distortions: list[VideoDistortion]) -> np.ndarray:
-    """Apply brightness/blur/rotation segments; an empty spec is identity."""
-    out = frames.copy()
-    for d in distortions:
-        for f in range(max(d.start, 0), min(d.end, frames.shape[0])):
-            img = out[f]
-            if d.rotation_deg:
-                img = _rotate_nn(img, d.rotation_deg)
-            if d.blur_width >= 2:
-                img = _box_blur(img, d.blur_width)
-            if d.brightness:
-                img = np.clip(img + d.brightness, 0.0, 1.0)
-            out[f] = img
-    return out
-
-
-def apply_video_distortion(utterance: Utterance,
-                           distortions: list[VideoDistortion],
-                           seed: int = 0) -> Utterance:
-    """Corrupt the video track and update the synthetic confidence channel."""
-    rng = np.random.default_rng([seed, 0x71])
-    video = corrupt_video(utterance.video_clean, distortions)
-    magnitude = np.zeros(video.shape[0])
-    for d in distortions:
-        magnitude[max(d.start, 0):min(d.end, video.shape[0])] += d.magnitude()
-    confidence = np.clip(1.0 - np.tanh(magnitude)
-                         + 0.02 * rng.standard_normal(video.shape[0]), 0.0, 1.0)
-    return replace(utterance, video=video, distortions=list(distortions),
-                   confidence=confidence)
-
-
 def _gauss_loglik(feats: np.ndarray, means: np.ndarray, variances: np.ndarray,
                   temperature: float) -> np.ndarray:
     """(T, S) diagonal-Gaussian log-likelihoods with inflated variances."""
@@ -569,7 +498,7 @@ def _softmax_rows(loglik: np.ndarray) -> np.ndarray:
 
 
 def compute_stream_posteriors(utterance: Utterance, world: World,
-                              stream: str) -> PosteriorSequence:
+                              stream: str) -> np.ndarray:
     """Bayes posteriors under the calibrated model and a uniform state prior,
     upsampled to the audio frame rate for the video streams."""
     loglik = stream_loglik(utterance, world, stream)
@@ -580,7 +509,7 @@ def compute_stream_posteriors(utterance: Utterance, world: World,
     elif post.shape[0] != t_audio:
         raise ValueError(f"audio posterior frames {post.shape[0]} != "
                          f"alignment frames {t_audio}")
-    return PosteriorSequence(stream=stream, frames=post)
+    return post
 
 
 def compute_joint_posteriors(utterance: Utterance, world: World) -> np.ndarray:

@@ -5,7 +5,8 @@ The decoding graph keeps one left-to-right chain per word. Each state
 self-loops with probability 1 - 1/mean_duration; leaving a word-final state
 follows a bigram LM arc whose probabilities are renormalized after LM-scale
 exponentiation, so every node's outgoing mass stays 1. Emission scores are
-the fused log-pseudo-posteriors used directly.
+the fused log-pseudo-posteriors, a plain (T, S) array, used directly; both
+decoders refuse a matrix with a NaN or infinite entry.
 
 Ties are broken deterministically: among equal-score predecessors the lowest
 state index wins, and on a full tie the arc preference is self-loop, then
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AlignmentTarget, FusedLogPosterior
+from .core import AlignmentTarget
 
 ARC_LOOP, ARC_CHAIN, ARC_ENTRY = 0, 1, 2
 
@@ -97,20 +98,28 @@ class DecodeResult:
     log_score: float
 
 
-def _emissions(fused: FusedLogPosterior | np.ndarray,
-               graph: DecodingGraph) -> np.ndarray:
-    lp = fused.frames if isinstance(fused, FusedLogPosterior) else \
-        np.asarray(fused, dtype=np.float64)
+def _emissions(fused: np.ndarray, graph: DecodingGraph) -> np.ndarray:
+    """``fused`` as a float64 (T, S) emission matrix, checked: S is the
+    graph's state count, T is at least 1 and every entry is finite.
+
+    Both decoders read their scores through here, so a fused matrix with
+    a NaN or an infinity is refused wherever it comes from: a fuser in
+    memory or an AVPF file on disk.
+    """
+    lp = np.asarray(fused, dtype=np.float64)
     if lp.ndim != 2 or lp.shape[1] != graph.num_states:
         raise ValueError(f"emission matrix shape {lp.shape} does not match "
                          f"{graph.num_states} graph states")
     if lp.shape[0] == 0:
         raise ValueError("emission matrix has no frames")
+    bad = np.flatnonzero(~np.isfinite(lp).all(axis=1))
+    if bad.size:
+        raise ValueError(f"emission matrix has a non-finite entry in frame "
+                         f"{bad[0]}")
     return lp
 
 
-def viterbi_decode(fused: FusedLogPosterior | np.ndarray,
-                   graph: DecodingGraph) -> DecodeResult:
+def viterbi_decode(fused: np.ndarray, graph: DecodingGraph) -> DecodeResult:
     """Best word sequence and state path under emissions + transitions + LM."""
     return viterbi_decode_batch([fused], graph)[0]
 
@@ -192,7 +201,7 @@ def viterbi_decode_batch(fused_list: list,
     return results
 
 
-def forced_align(transcript: list[str], fused: FusedLogPosterior | np.ndarray,
+def forced_align(transcript: list[str], fused: np.ndarray,
                  graph: DecodingGraph) -> AlignmentTarget:
     """Viterbi over the linear state chain of the given transcript only.
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .align import align_stream, bresenham_map
 from .blas import single_blas_thread
-from .core import STREAMS, AlignmentTarget, PosteriorSequence
+from .core import STREAMS, AlignmentTarget
 from .corpus import (
     Utterance,
     World,
@@ -132,16 +132,16 @@ def reliability_features(utt: Utterance, measures: dict[str, dict],
 @dataclass
 class VideoPart:
     """What no audio condition changes in an utterance."""
-    posts: dict[str, PosteriorSequence]  # VA and VS
+    posts: dict[str, np.ndarray]  # VA and VS posteriors, (T, S) each
     measures: dict[str, dict]  # ``stream_measures`` of VA and VS
     features: np.ndarray  # ``video_signal_features``
 
 
 def video_part(world: World, utt: Utterance) -> VideoPart:
     """The ``VideoPart`` of ``utt``, which any condition of it shares."""
-    posts ={s: compute_stream_posteriors(utt, world, s)
+    posts = {s: compute_stream_posteriors(utt, world, s)
              for s in ("VA", "VS")}
-    measures = {s: stream_measures(p.frames) for s, p in posts.items()}
+    measures = {s: stream_measures(p) for s, p in posts.items()}
     return VideoPart(posts, measures, video_signal_features(utt))
 
 
@@ -152,8 +152,8 @@ class Cell:
     # the utterance as heard in the condition; None in a cell kept only
     # for the learned fusers, which never read it
     utt: Utterance | None
-    posts: dict[str, PosteriorSequence]
-    logs: list[np.ndarray]  # per stream, in STREAMS order
+    posts: dict[str, np.ndarray]  # per stream, (T, S)
+    logs: list[np.ndarray]  # their logs, in STREAMS order
     rel: np.ndarray  # (T, reliability dim)
 
 
@@ -163,8 +163,8 @@ def build_cell(world: World, noisy: Utterance, video: VideoPart) -> Cell:
     items and test cells alike."""
     audio = compute_stream_posteriors(noisy, world, "A")
     posts = {"A": audio, **video.posts}
-    measures = {"A": stream_measures(audio.frames), **video.measures}
-    return Cell(noisy, posts, [np.log(posts[s].frames) for s in STREAMS],
+    measures = {"A": stream_measures(audio), **video.measures}
+    return Cell(noisy, posts, [np.log(posts[s]) for s in STREAMS],
                 reliability_features(noisy, measures, video.features))
 
 
@@ -227,12 +227,12 @@ def build_training_items(world: World, graph: DecodingGraph,
         kind = kinds[idx % len(kinds)]
         # on a copy, so the caller's utterance keeps no log-mel memo
         clean_posts_a = compute_stream_posteriors(replace(utt), world, "A")
-        target = forced_align(utt.words, np.log(clean_posts_a.frames), graph)
+        target = forced_align(utt.words, np.log(clean_posts_a), graph)
         noisy = mix_noise(utt, kind, cond, seed=seed * 7919 + idx)
         cell = build_cell(world, noisy, video_part(world, noisy))
         items.append({
             "utt_id": utt.utt_id,
-            "posteriors": [cell.posts[s].frames for s in STREAMS],
+            "posteriors": [cell.posts[s] for s in STREAMS],
             "log_posts": np.stack(cell.logs),
             "reliability": cell.rel,
             "targets": target.states,
@@ -491,9 +491,9 @@ def _fuse_for_strategy(strategy: str, cell: Cell, world: World,
     if strategy == "static":
         return static_fuse(logs, np.full(len(logs), 1.0 / len(logs)))
     if strategy == "oracle":
-        return dynamic_fuse(logs, oracle)
+        return dynamic_fuse(logs, oracle.weights)
     if strategy in ("dsw-mse", "dsw-ce"):
-        return dynamic_fuse(logs, models[strategy].predict(cell.rel))
+        return dynamic_fuse(logs, models[strategy].predict(cell.rel).weights)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -515,9 +515,9 @@ def fuse_cells(cells: list[Cell], strategies: list[str], world: World,
     for strategy in strategies:
         if strategy in ("dfn-lstm", "dfn-blstm"):
             fused = dfn_fuse(
-                [[cell.posts[s].frames for s in STREAMS] for cell in cells],
+                [[cell.posts[s] for s in STREAMS] for cell in cells],
                 [cell.rel for cell in cells], models[strategy])
-            dfn[strategy] = np.split(fused.frames, bounds)
+            dfn[strategy] = np.split(fused, bounds)
     return [[dfn[strategy][i] if strategy in dfn else
              _fuse_for_strategy(strategy, cell, world, models, oracle[i])
              for strategy in strategies]

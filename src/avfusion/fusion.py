@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    AlignmentTarget,
-    FusedLogPosterior,
-    StreamWeights,
-    reading_artifact,
-)
+from .core import AlignmentTarget, StreamWeights, reading_artifact
 from . import nn
 
 
@@ -46,25 +41,25 @@ def _stack_logs(log_posts: list[np.ndarray]) -> np.ndarray:
 
 
 def static_fuse(log_posts: list[np.ndarray],
-                weights: np.ndarray) -> FusedLogPosterior:
+                weights: np.ndarray) -> np.ndarray:
     """Constant-weight sum of per-stream log-posteriors."""
     stacked = _stack_logs(log_posts)
     lam = np.asarray(weights, dtype=np.float64)
     if lam.shape != (stacked.shape[0],):
         raise ValueError(f"need one weight per stream, got shape {lam.shape}")
-    return FusedLogPosterior(np.einsum("m,mts->ts", lam, stacked))
+    return np.einsum("m,mts->ts", lam, stacked)
 
 
 def dynamic_fuse(log_posts: list[np.ndarray],
-                 weights: StreamWeights | np.ndarray) -> FusedLogPosterior:
-    """Per-frame weighted sum of per-stream log-posteriors."""
+                 weights: np.ndarray) -> np.ndarray:
+    """Per-frame weighted sum of per-stream log-posteriors; ``weights``
+    is (T, M)."""
     stacked = _stack_logs(log_posts)
-    lam = weights.weights if isinstance(weights, StreamWeights) else \
-        np.asarray(weights, dtype=np.float64)
+    lam = np.asarray(weights, dtype=np.float64)
     if lam.shape != (stacked.shape[1], stacked.shape[0]):
         raise ValueError(f"weights shape {lam.shape} does not match "
                          f"{stacked.shape[1]} frames x {stacked.shape[0]} streams")
-    return FusedLogPosterior(np.einsum("tm,mts->ts", lam, stacked))
+    return np.einsum("tm,mts->ts", lam, stacked)
 
 
 def linear_oracle_ce(log_posts: list[np.ndarray], weights: np.ndarray,
@@ -508,7 +503,7 @@ DFN_BATCH_FRAMES = 1024  # padded frames per inference batch, at most
 
 def dfn_fuse(posteriors: list[list[np.ndarray]],
              reliability: list[np.ndarray],
-             model: DfnModel) -> FusedLogPosterior:
+             model: DfnModel) -> np.ndarray:
     """DFN forward pass over many utterances, given per utterance its
     per-stream linear posteriors and its (T_i, R) reliability matrix.
 
@@ -544,7 +539,7 @@ def dfn_fuse(posteriors: list[list[np.ndarray]],
         for b, i in enumerate(group):
             rows[i] = out[b, :lengths[i]]
         start += size
-    return FusedLogPosterior(np.concatenate(rows))
+    return np.concatenate(rows)
 
 
 def train_dfn(train_items: list[dict], val_items: list[dict], variant: str,

@@ -134,18 +134,6 @@ def snr_db_from_energies(signal_energy: np.ndarray, noise_energy: np.ndarray,
     return np.clip(10.0 * np.log10(s / n), -cap_db, cap_db)
 
 
-def frame_snr(utterance) -> np.ndarray:
-    """Exact per-frame SNR from an utterance's stored clean and noise parts.
-
-    A clean utterance (no noise component) pins every frame at the +cap.
-    """
-    clean = np.asarray(utterance.audio_clean, dtype=np.float64)
-    noise = getattr(utterance, "noise_component", None)
-    if noise is None:
-        return np.full(num_frames(clean.shape[0]), SNR_CAP_DB)
-    return snr_db_from_energies(frame_energy(clean), frame_energy(noise))
-
-
 def estimate_frame_snr(noisy: np.ndarray, smoothing: float = 0.92,
                        noise_percentile: float = 20.0,
                        noise_bias: float = 1.8) -> np.ndarray:

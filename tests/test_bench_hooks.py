@@ -6,11 +6,14 @@ sweep must call the ones it times and captures in this process.
 a name that is only inherited, or that a refactor dropped, raises there.
 """
 
+import ast
+import importlib
 import json
 import os
 import sys
 from pathlib import Path
 
+import avfusion
 from avfusion import experiment
 from avfusion.config import validate_config
 
@@ -33,6 +36,38 @@ def test_harness_patches_are_bound():
     # object.__new__ skips __init__, which would build a world
     harness = object.__new__(workloads.Harness)
     assert _unbound(harness._patches()) == []
+
+
+def _unused_imports():
+    """(module, name) of every import under ``src/avfusion`` marked
+    ``# noqa: F401``, i.e. imported without being called."""
+    root = Path(avfusion.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        module = ".".join(("avfusion",) + path.relative_to(root)
+                          .with_suffix("").parts)
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                found += [(module.removesuffix(".__init__"),
+                           alias.asname or alias.name)
+                          for alias in node.names]
+    return found
+
+
+def test_unused_imports_are_wrapped_by_the_benchmark():
+    """An import kept unused only so that the benchmark can wrap the name
+    on that module must still have its row in the benchmark's tables;
+    once the row is gone, so must the import be."""
+    harness = object.__new__(workloads.Harness)
+    wrapped = {(owner, attr) for owner, attr, *_ in
+               tracing._targets() + harness._patches()}
+    stale = [f"{module}.{name}" for module, name in _unused_imports()
+             if (importlib.import_module(module), name) not in wrapped]
+    assert stale == []
 
 
 GUARD_CONFIG = {

@@ -317,7 +317,7 @@ class TestStagedChainMatchesSweep:
         for label, cells in seed0.items():
             for record, cell in zip(records, cells):
                 assert record.utt_id == cell.utt.utt_id
-                mats = {s: cell.posts[s].frames for s in STREAMS}
+                mats = {s: cell.posts[s] for s in STREAMS}
                 mats["REL"] = cell.rel
                 for name, mat in mats.items():
                     got = read_matrix(out / record.posterior_paths[name][label])
@@ -570,6 +570,8 @@ STAGED_DAMAGES = {
     "fused-of-wrong-shape": (
         "decode", "fused/ao/seed0/u200000.0.avpf",
         lambda p: write_matrix(p, np.zeros((4, 5)))),
+    "fused-non-finite": (
+        "decode", "fused/ao/seed0/u200000.0.avpf", _nan_first),
     "decode-truncated": ("evaluate", "decode/ao.seed0.json", _truncate),
     "decode-without-words": (
         "evaluate", "decode/ao.seed0.json",
@@ -598,10 +600,11 @@ STAGED_DAMAGES = {
 
 
 class TestDamagedStagedArtifacts:
-    """A damaged manifest, val_ce.json, fused matrix, decode file or
-    sweep.json makes the stage that reads it exit 1 with an error that
-    names the file; so does a decode file whose utterances are not the
-    config's test split, which evaluate would otherwise score as a subset."""
+    """A damaged manifest, val_ce.json, fused matrix (a NaN entry
+    included), decode file or sweep.json makes the stage that reads it
+    exit 1 with an error that names the file; so does a decode file whose
+    utterances are not the config's test split, which evaluate would
+    otherwise score as a subset."""
 
     @pytest.fixture(scope="class")
     def staged(self, tiny_cfg, tmp_path_factory):

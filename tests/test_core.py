@@ -10,9 +10,6 @@ from avfusion import POSTERIOR_FLOOR
 from avfusion.core import (
     AlignmentTarget,
     FormatError,
-    FusedLogPosterior,
-    PosteriorSequence,
-    StateSpace,
     StreamWeights,
     UtteranceRecord,
     normalize_posteriors,
@@ -258,30 +255,6 @@ class TestMatrixReadFuzz:
 
 
 class TestDomainTypes:
-    def test_state_space_validation(self):
-        StateSpace(2, ("a", "b"))
-        with pytest.raises(ValueError):
-            StateSpace(1, ("a",))
-        with pytest.raises(ValueError):
-            StateSpace(2, ("a", "a"))
-        with pytest.raises(ValueError):
-            StateSpace(3, ("a", "b"))
-
-    def test_posterior_sequence_accessors(self):
-        frames = normalize_posteriors(np.ones((4, 3)))
-        seq = PosteriorSequence("A", frames)
-        assert seq.num_frames == 4
-        assert seq.num_states == 3
-
-    def test_posterior_sequence_rejects_unknown_stream(self):
-        with pytest.raises(ValueError, match="stream"):
-            PosteriorSequence("X", np.ones((2, 2)) / 2)
-
-    def test_fused_log_posterior_requires_finite(self):
-        FusedLogPosterior(np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="finite"):
-            FusedLogPosterior(np.array([[0.0, -np.inf]]))
-
     def test_stream_weights_simplex_enforced(self):
         w = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
         StreamWeights(w)

@@ -16,6 +16,7 @@ from avfusion.decode import (
     wer,
 )
 from avfusion.corpus import WorldConfig, build_world
+from avfusion.fusion import static_fuse
 from helpers import oracle_decode, oracle_forced_align, path_score
 
 
@@ -160,14 +161,29 @@ class TestViterbi:
             viterbi_decode(np.zeros((4, 5)), g)
 
     def test_accepts_fused_log_posterior(self):
-        from avfusion.core import FusedLogPosterior
-
+        # a fuser's output is a plain (T, S) array
         g = toy_graph(seed=5)
         rng = np.random.default_rng(6)
-        fused = FusedLogPosterior(
-            np.log(rng.dirichlet(np.ones(3), size=5)))
+        logs = [np.log(rng.dirichlet(np.ones(3), size=5)) for _ in range(3)]
+        fused = static_fuse(logs, np.full(3, 1.0 / 3.0))
         result = viterbi_decode(fused, g)
         assert np.isfinite(result.log_score)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_emissions_rejected(bad):
+    """Both decoders refuse a fused matrix with a NaN or infinite entry,
+    and name its frame; one good matrix in the batch does not hide it."""
+    g = toy_graph()
+    good = np.log(np.random.default_rng(11).dirichlet(np.ones(3), size=6))
+    em = good.copy()
+    em[4, 2] = bad
+    with pytest.raises(ValueError, match="non-finite entry in frame 4"):
+        viterbi_decode_batch([good, em], g)
+    with pytest.raises(ValueError, match="non-finite entry in frame 4"):
+        viterbi_decode(em, g)
+    with pytest.raises(ValueError, match="non-finite entry in frame 4"):
+        forced_align(["w1"], em, g)
 
 
 class TestForcedAlign:

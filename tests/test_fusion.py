@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avfusion.core import AlignmentTarget, StreamWeights, normalize_posteriors
+from avfusion.core import AlignmentTarget, normalize_posteriors
 from avfusion.corpus import WorldConfig, build_world, sample_utterance
 from avfusion.decode import build_decoding_graph
 from avfusion.experiment import add_oracle_targets, build_training_items
@@ -42,20 +42,20 @@ class TestStaticFuse:
         rng = np.random.default_rng(1)
         posts = random_log_posts(rng, 3, 5, 4)
         fused = static_fuse(posts, np.array([1.0, 0.0, 0.0]))
-        npt.assert_array_equal(fused.frames, posts[0])
+        npt.assert_array_equal(fused, posts[0])
 
     def test_equal_weights_identical_streams(self):
         rng = np.random.default_rng(2)
         base = np.log(rng.dirichlet(np.ones(3), size=4))
         fused = static_fuse([base, base.copy(), base.copy()],
                             np.full(3, 1.0 / 3.0))
-        npt.assert_allclose(fused.frames, base, atol=1e-12)
+        npt.assert_allclose(fused, base, atol=1e-12)
 
     def test_two_stream_hand_example(self):
         a = np.log(np.array([[0.8, 0.2]]))
         b = np.log(np.array([[0.2, 0.8]]))
         fused = static_fuse([a, b], np.array([0.5, 0.5]))
-        npt.assert_allclose(fused.frames, np.log([[0.4, 0.4]]), atol=1e-12)
+        npt.assert_allclose(fused, np.log([[0.4, 0.4]]), atol=1e-12)
 
     def test_weight_count_mismatch(self):
         rng = np.random.default_rng(3)
@@ -74,17 +74,17 @@ class TestDynamicFuse:
         lam = np.array([0.5, 0.3, 0.2])
         dyn = dynamic_fuse(posts, np.tile(lam, (6, 1)))
         sta = static_fuse(posts, lam)
-        npt.assert_allclose(dyn.frames, sta.frames, atol=1e-12)
+        npt.assert_allclose(dyn, sta, atol=1e-12)
 
     def test_alternating_unit_weights_copy_rows(self):
         rng = np.random.default_rng(5)
         posts = random_log_posts(rng, 2, 4, 3)
         lam = np.array([[1.0, 0], [0, 1], [1, 0], [0, 1]])
         fused = dynamic_fuse(posts, lam)
-        npt.assert_array_equal(fused.frames[0], posts[0][0])
-        npt.assert_array_equal(fused.frames[1], posts[1][1])
-        npt.assert_array_equal(fused.frames[2], posts[0][2])
-        npt.assert_array_equal(fused.frames[3], posts[1][3])
+        npt.assert_array_equal(fused[0], posts[0][0])
+        npt.assert_array_equal(fused[1], posts[1][1])
+        npt.assert_array_equal(fused[2], posts[0][2])
+        npt.assert_array_equal(fused[3], posts[1][3])
 
     def test_argmax_invariant_to_weight_scale(self):
         rng = np.random.default_rng(6)
@@ -92,15 +92,9 @@ class TestDynamicFuse:
             posts = random_log_posts(rng, 3, 5, 4)
             lam = rng.dirichlet(np.ones(3), size=5)
             c = rng.uniform(0.1, 10.0)
-            base = dynamic_fuse(posts, lam).frames.argmax(axis=1)
-            scaled = dynamic_fuse(posts, c * lam).frames.argmax(axis=1)
+            base = dynamic_fuse(posts, lam).argmax(axis=1)
+            scaled = dynamic_fuse(posts, c * lam).argmax(axis=1)
             npt.assert_array_equal(base, scaled)
-
-    def test_accepts_stream_weights_type(self):
-        rng = np.random.default_rng(7)
-        posts = random_log_posts(rng, 2, 3, 2)
-        sw = StreamWeights(np.full((3, 2), 0.5))
-        assert dynamic_fuse(posts, sw).frames.shape == (3, 2)
 
     def test_weight_shape_mismatch(self):
         rng = np.random.default_rng(8)
@@ -502,8 +496,7 @@ class TestDfn:
         model = DfnModel(net, "lstm", 4, 5, np.zeros(17), np.ones(17))
         posts = [rng.dirichlet(np.ones(4), size=6) for _ in range(3)]
         fused = dfn_fuse([posts], [rng.standard_normal((6, 5))], model)
-        npt.assert_allclose(np.exp(fused.frames).sum(axis=1), 1.0,
-                            atol=1e-12)
+        npt.assert_allclose(np.exp(fused).sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["lstm", "blstm"])
     def test_batched_rows_match_one_utterance_calls(self, variant):
@@ -522,10 +515,10 @@ class TestDfn:
         net.forward(rng.standard_normal((1, 3, 17)))  # leaves caches behind
         fused = dfn_fuse(posts, rels, model)
         assert all(layer._cache is None for layer in net.layers)
-        assert fused.frames.shape == (lengths.sum(), 4)
-        alone = np.concatenate([dfn_fuse([p], [r], model).frames
+        assert fused.shape == (lengths.sum(), 4)
+        alone = np.concatenate([dfn_fuse([p], [r], model)
                                 for p, r in zip(posts, rels)])
-        npt.assert_allclose(fused.frames, alone, rtol=0, atol=1e-12)
+        npt.assert_allclose(fused, alone, rtol=0, atol=1e-12)
 
     def test_zero_final_dense_gives_uniform(self):
         rng = np.random.default_rng(22)
@@ -536,7 +529,7 @@ class TestDfn:
         model = DfnModel(net, "lstm", 4, 5, np.zeros(17), np.ones(17))
         posts = [rng.dirichlet(np.ones(4), size=3) for _ in range(3)]
         fused = dfn_fuse([posts], [rng.standard_normal((3, 5))], model)
-        npt.assert_allclose(fused.frames, -np.log(4.0), atol=1e-12)
+        npt.assert_allclose(fused, -np.log(4.0), atol=1e-12)
 
     def test_layout_mismatch_rejected(self):
         rng = np.random.default_rng(23)
@@ -564,8 +557,8 @@ class TestDfn:
         back = DfnModel.load(str(tmp_path / "dfn"))
         it = val_items[0]
         npt.assert_allclose(
-            dfn_fuse([it["posteriors"]], [it["reliability"]], back).frames,
-            dfn_fuse([it["posteriors"]], [it["reliability"]], model).frames,
+            dfn_fuse([it["posteriors"]], [it["reliability"]], back),
+            dfn_fuse([it["posteriors"]], [it["reliability"]], model),
             atol=1e-6)
 
     def test_empty_split_rejected(self):

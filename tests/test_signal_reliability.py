@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from avfusion.align import bresenham_map
-from avfusion.core import STREAMS, PosteriorSequence
+from avfusion.core import STREAMS
 from avfusion.corpus import (
     WorldConfig,
     build_world,
@@ -41,7 +41,6 @@ from avfusion.signal_reliability import (
     dct_matrix,
     delta,
     estimate_frame_snr,
-    frame_snr,
     idct_features,
     image_distortion,
     mel_filterbank,
@@ -134,12 +133,12 @@ class TestSnr:
     def test_clean_utterance_pinned_at_cap(self):
         world = build_world(WorldConfig(vocab_size=3), seed=0)
         utt = sample_utterance(world, 2, seed=5)
-        npt.assert_array_equal(frame_snr(utt), SNR_CAP_DB)
+        npt.assert_array_equal(utt.true_snr, SNR_CAP_DB)
 
     def test_mixed_utterance_matches_energy_ratio(self):
         world = build_world(WorldConfig(vocab_size=3), seed=0)
         utt = mix_noise(sample_utterance(world, 2, seed=6), "white", 0.0, seed=1)
-        track = frame_snr(utt)
+        track = utt.true_snr
         idx = np.arange(FRAME_LEN)[None, :] + FRAME_SHIFT * np.arange(len(track))[:, None]
         s = np.sum(utt.audio_clean[idx] ** 2, axis=1)
         n = np.sum(utt.noise_component[idx] ** 2, axis=1)
@@ -155,7 +154,7 @@ class TestSnr:
             _, voicing = pitch_nccf(utt.audio_clean)
             voiced = voicing >= 0.5
             est = estimate_frame_snr(utt.audio)[voiced]
-            oracle = frame_snr(utt)[voiced]
+            oracle = utt.true_snr[voiced]
             diffs.append(est.mean() - oracle.mean())
         assert abs(np.mean(diffs)) < 1.5
 
@@ -490,12 +489,12 @@ class TestReliabilityFeatures:
 
     def test_posteriors_are_the_stream_posteriors(self, world, cell):
         for s, log in zip(STREAMS, cell.logs):
-            want = compute_stream_posteriors(cell.utt, world, s).frames
-            assert cell.posts[s].frames.tobytes() == want.tobytes()
+            want = compute_stream_posteriors(cell.utt, world, s)
+            assert cell.posts[s].tobytes() == want.tobytes()
             assert log.tobytes() == np.log(want).tobytes()
 
     def test_model_block_is_the_per_stream_measures(self, cell):
-        frames = [cell.posts[s].frames for s in STREAMS]
+        frames = [cell.posts[s] for s in STREAMS]
         ent_ratio = entropy_ratio(np.stack([entropy(p) for p in frames], 1))
         disp_ratio = dispersion_ratio(
             np.stack([dispersion(p) for p in frames], 1))
@@ -524,9 +523,8 @@ class TestReliabilityFeatures:
 
     def test_mismatched_lengths_rejected(self, world, cell):
         video = experiment.video_part(world, cell.utt)
-        vs = video.posts["VS"].frames[1:]
-        short = replace(video,
-                        posts=dict(video.posts, VS=PosteriorSequence("VS", vs)),
+        vs = video.posts["VS"][1:]
+        short = replace(video, posts=dict(video.posts, VS=vs),
                         measures=dict(video.measures, VS=stream_measures(vs)))
         with pytest.raises(ValueError):
             experiment.build_cell(world, cell.utt, short)
@@ -584,6 +582,6 @@ def test_training_items_are_cells(monkeypatch):
         cell = experiment.build_cell(world, noisy,
                                      experiment.video_part(world, noisy))
         for got, s in zip(item["posteriors"], STREAMS):
-            assert got.tobytes() == cell.posts[s].frames.tobytes()
+            assert got.tobytes() == cell.posts[s].tobytes()
         assert item["log_posts"].tobytes() == np.stack(cell.logs).tobytes()
         assert item["reliability"].tobytes() == cell.rel.tobytes()
