@@ -76,11 +76,8 @@ from .config import DEFAULT_CONFIG, ConfigError, load_config, validate_config
 from .core import (
     STREAMS,
     ArtifactError,
-    UtteranceRecord,
-    read_manifest,
     read_matrix,
     reading_artifact,
-    write_manifest,
     write_matrix,
 )
 from .corpus import (
@@ -236,8 +233,9 @@ def _trained_world(cfg: dict, out: Path, seed: int,
         needs=[s for s in strategies if s in TRAINED_STRATEGIES])
 
 
-def _conf_path(video_path: str) -> str:
-    return video_path.rsplit(".", 1)[0] + ".conf.avpf"
+def _write_manifest(out: Path, doc: dict) -> None:
+    (out / "manifest.json").write_text(json.dumps(doc, indent=1,
+                                                  sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +256,7 @@ def _cmd_synth(args) -> int:
     (out / "world.json").write_text(
         json.dumps(world.to_manifest(), indent=2, sort_keys=True))
 
-    records = []
+    entries = []
     for idx, utt in enumerate(utts):
         audio_paths = {}
         for cond in conditions:
@@ -269,19 +267,17 @@ def _cmd_synth(args) -> int:
             audio_paths[label] = wav
         video_path = f"video/{utt.utt_id}.raw"
         save_video_raw(out / video_path, utt.video)
-        write_matrix(out / _conf_path(video_path),
-                     utt.confidence[:, None])
         align_path = f"align/{utt.utt_id}.avpf"
         write_matrix(out / align_path,
                      utt.alignment.states.astype(np.float64)[:, None])
-        records.append(UtteranceRecord(
-            utt_id=utt.utt_id, transcript=list(utt.words), split="test",
-            audio_paths=audio_paths, alignment_path=align_path,
-            video_path=video_path,
-            num_video_frames=utt.num_video_frames,
-            num_audio_frames=utt.num_audio_frames))
-    write_manifest(out / "manifest.json", "world.json", records)
-    print(f"synth: wrote {len(records)} utterances x "
+        # extract adds the posterior and reliability paths
+        entries.append({
+            "id": utt.utt_id, "transcript": list(utt.words), "split": "test",
+            "audio": audio_paths, "posteriors": {}, "alignment": align_path,
+            "video": video_path, "num_video_frames": utt.num_video_frames,
+            "num_audio_frames": utt.num_audio_frames})
+    _write_manifest(out, {"world": "world.json", "utterances": entries})
+    print(f"synth: wrote {len(entries)} utterances x "
           f"{len(conditions)} conditions under {out}")
     return 0
 
@@ -293,15 +289,20 @@ def _cmd_extract(args) -> int:
     wanted = [condition_label(c) for c in _conditions(args, cfg)]
     manifest_path = _require(out / "manifest.json", "synth")
     with reading_artifact(manifest_path):
-        world_path, records = read_manifest(manifest_path)
+        doc = json.loads(manifest_path.read_text())
+        entries = doc["utterances"]
+        ids = [entry["id"] for entry in entries]
+        labels = sorted({lab for entry in entries for lab in entry["audio"]})
+        for entry in entries:
+            entry["posteriors"] = {name: dict(by_label) for name, by_label
+                                   in dict(entry["posteriors"]).items()}
     seed = int(cfg["seeds"][0])
     world = _world_for_seed(cfg, seed, calibrated=True)
     utts = test_split(cfg, world)
-    if [r.utt_id for r in records] != [u.utt_id for u in utts]:
+    if ids != [u.utt_id for u in utts]:
         raise MissingArtifact(
             f"{manifest_path} does not list this config's test split; run "
             f"the `synth` subcommand first with the same --config and --seed")
-    labels = sorted({lab for r in records for lab in r.audio_paths})
     if args.snr is not None:
         labels = [lab for lab in labels if lab in wanted]
     cache = video_cache(world, utts)
@@ -309,17 +310,16 @@ def _cmd_extract(args) -> int:
     for label in labels:
         cells = condition_cells(world, utts, cache, _parse_condition(label),
                                 list(cfg["noise_kinds"]), seed)
-        for record, cell in zip(records, cells):
+        for utt_id, entry, cell in zip(ids, entries, cells):
             mats = {s: cell.posts[s] for s in STREAMS}
             mats["rel"] = cell.rel
             for name, mat in mats.items():
-                path = f"feats/{record.utt_id}.{label}.{name}.avpf"
+                path = f"feats/{utt_id}.{label}.{name}.avpf"
                 write_matrix(out / path, mat)
-                paths = record.posterior_paths.setdefault(name.upper(), {})
-                paths[label] = path
-    write_manifest(out / "manifest.json", world_path, records)
+                entry["posteriors"].setdefault(name.upper(), {})[label] = path
+    _write_manifest(out, doc)
     print(f"extract: wrote posteriors + reliability for "
-          f"{len(labels) * len(records)} utterance-conditions under "
+          f"{len(labels) * len(entries)} utterance-conditions under "
           f"{out / 'feats'}")
     return 0
 

@@ -9,34 +9,16 @@ import json
 
 from .corpus import NOISE_KINDS, WorldConfig
 from .experiment import ALL_STRATEGIES
+from .nn import TrainConfig
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
 
 
+# the world and training defaults are WorldConfig's and TrainConfig's own
 DEFAULT_CONFIG: dict = {
-    "world": {
-        "vocab_size": 8,
-        "states_per_word": 3,
-        "mean_duration_frames": 5.0,
-        "n_harmonics": 6,
-        "f0_range": [110.0, 320.0],
-        "excitation_noise": 0.10,
-        "pixel_noise": 0.07,
-        "video_contrast": 0.08,
-        "glyph_similarity": 0.85,
-        "audio_obs_dim": 8,
-        "va_obs_dim": 10,
-        "vs_obs_dim": 12,
-        "calib_frames": 160,
-        "calib_video_frames": 120,
-        "calib_snrs": [9.0, 0.0, -9.0],
-        "temp_a": 1.5,
-        "temp_va": 1.0,
-        "temp_vs": 1.0,
-        "lm_concentration": 3.0,
-    },
+    "world": WorldConfig().to_doc(),
     "corpus": {
         "train": 200,
         "val": 16,
@@ -51,14 +33,8 @@ DEFAULT_CONFIG: dict = {
     "seeds": [0, 1, 2, 3, 4],
     "lm_scale": 1.0,
     "oracle_mode": "renormalized",
-    "training": {
-        "lr0": 3e-3,
-        "lr_decay": 0.8,
-        "batch_size": 10,
-        "check_interval": 100,
-        "patience": 600,
-        "max_steps": 3000,
-    },
+    "training": {k: v for k, v in vars(TrainConfig()).items()
+                 if k != "seed"},
     "dfn": {
         "widths": [256, 128, 64],
         "hidden": 64,
@@ -130,13 +106,12 @@ def validate_config(doc: dict) -> dict:
         raise ConfigError("config root must be a JSON object")
     cfg = _merge(doc, DEFAULT_CONFIG)
 
-    world = dict(cfg["world"])
-    world["f0_range"] = tuple(world["f0_range"])
-    world["calib_snrs"] = tuple(world["calib_snrs"])
-    try:
-        WorldConfig(**world)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"world: {exc}") from exc
+    for section, make in (("world", WorldConfig),
+                          ("training", TrainConfig)):
+        try:
+            make(**cfg[section])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
     if len(cfg["world"]["f0_range"]) != 2:
         raise ConfigError("world.f0_range: expected [low, high]")
 
@@ -161,9 +136,6 @@ def validate_config(doc: dict) -> dict:
         raise ConfigError("dfn.widths: expected exactly 3 layer widths")
     if not 0.0 <= cfg["dfn"]["dropout"] < 1.0:
         raise ConfigError("dfn.dropout: must be in [0, 1)")
-    t = cfg["training"]
-    if t["lr0"] <= 0 or not 0.0 < t["lr_decay"] < 1.0:
-        raise ConfigError("training: need lr0 > 0 and 0 < lr_decay < 1")
     return cfg
 
 

@@ -10,9 +10,8 @@ followed by row-major 32-bit little-endian floats.
 from __future__ import annotations
 
 import contextlib
-import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,17 +83,18 @@ class AlignmentTarget:
         return self.states.shape[0]
 
 
-def normalize_posteriors(raw: np.ndarray, floor: float = POSTERIOR_FLOOR) -> np.ndarray:
+def normalize_posteriors(raw: np.ndarray) -> np.ndarray:
     """Floor and renormalize a nonnegative matrix so each row is a valid
-    posterior with every entry >= floor.
+    posterior with every entry >= POSTERIOR_FLOOR.
 
     Returns the fixed point of floor-then-rescale in closed form: each row
-    is ``max(floor, c * p)`` for the row-normalized input ``p``, with ``c``
-    chosen so the row sums to 1 (water-filling). Floored entries are
-    exactly ``floor`` and the others keep their ratios, so the operation is
-    idempotent. The floored set of every row grows from the entries below
-    ``floor`` until it stops changing, which takes a few vectorized steps;
-    there is no pass cap. Non-finite, negative and all-zero rows are refused.
+    is ``max(POSTERIOR_FLOOR, c * p)`` for the row-normalized input ``p``,
+    with ``c`` chosen so the row sums to 1 (water-filling). Floored entries
+    are exactly ``POSTERIOR_FLOOR`` and the others keep their ratios, so the
+    operation is idempotent. The floored set of every row grows from the
+    entries below the floor until it stops changing, which takes a few
+    vectorized steps; there is no pass cap. Non-finite, negative and
+    all-zero rows are refused.
     """
     raw = np.asarray(raw, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(raw).all(axis=-1))
@@ -107,14 +107,14 @@ def normalize_posteriors(raw: np.ndarray, floor: float = POSTERIOR_FLOOR) -> np.
     if dead.size:
         raise ValueError(f"all-zero posterior row at index {dead[0]}")
     p = raw / sums
-    floored = p < floor
+    floored = p < POSTERIOR_FLOOR
     while True:
         free = np.where(floored, 0.0, p)
-        scale = ((1.0 - floor * floored.sum(axis=-1, keepdims=True))
+        scale = ((1.0 - POSTERIOR_FLOOR * floored.sum(axis=-1, keepdims=True))
                  / free.sum(axis=-1, keepdims=True))
-        grown = floored | (scale * p < floor)
+        grown = floored | (scale * p < POSTERIOR_FLOOR)
         if np.array_equal(grown, floored):
-            return np.where(floored, floor, scale * p)
+            return np.where(floored, POSTERIOR_FLOOR, scale * p)
         floored = grown
 
 
@@ -152,58 +152,3 @@ def read_matrix(path: str | Path) -> np.ndarray:
         )
     flat = np.frombuffer(data, dtype="<f4", offset=16)
     return flat.reshape(rows, cols).astype(np.float64)
-
-
-@dataclass
-class UtteranceRecord:
-    """One manifest entry: where an utterance's artifacts live on disk."""
-
-    utt_id: str
-    transcript: list[str]
-    split: str
-    audio_paths: dict[str, str] = field(default_factory=dict)  # condition -> wav
-    posterior_paths: dict[str, dict[str, str]] = field(default_factory=dict)
-    alignment_path: str = ""
-    video_path: str = ""
-    num_video_frames: int = 0
-    num_audio_frames: int = 0
-
-
-def write_manifest(path: str | Path, world_path: str, records: list[UtteranceRecord]) -> None:
-    doc = {
-        "world": world_path,
-        "utterances": [
-            {
-                "id": r.utt_id,
-                "transcript": r.transcript,
-                "split": r.split,
-                "audio": r.audio_paths,
-                "posteriors": r.posterior_paths,
-                "alignment": r.alignment_path,
-                "video": r.video_path,
-                "num_video_frames": r.num_video_frames,
-                "num_audio_frames": r.num_audio_frames,
-            }
-            for r in records
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
-
-
-def read_manifest(path: str | Path) -> tuple[str, list[UtteranceRecord]]:
-    doc = json.loads(Path(path).read_text())
-    records = [
-        UtteranceRecord(
-            utt_id=u["id"],
-            transcript=list(u["transcript"]),
-            split=u["split"],
-            audio_paths=dict(u["audio"]),
-            posterior_paths={k: dict(v) for k, v in u["posteriors"].items()},
-            alignment_path=u["alignment"],
-            video_path=u["video"],
-            num_video_frames=u["num_video_frames"],
-            num_audio_frames=u["num_audio_frames"],
-        )
-        for u in doc["utterances"]
-    ]
-    return doc["world"], records

@@ -61,22 +61,24 @@ VARIANCE_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class WorldConfig:
-    vocab_size: int = 6
+    """A world's recipe; its defaults are the config's ``world`` defaults."""
+
+    vocab_size: int = 8
     states_per_word: int = 3
     mean_duration_frames: float = 5.0
     n_harmonics: int = 6
     f0_range: tuple[float, float] = (110.0, 320.0)
-    excitation_noise: float = 0.05
-    pixel_noise: float = 0.05
-    video_contrast: float = 0.10
-    glyph_similarity: float = 0.0
-    audio_obs_dim: int = 13
+    excitation_noise: float = 0.10
+    pixel_noise: float = 0.07
+    video_contrast: float = 0.08
+    glyph_similarity: float = 0.85
+    audio_obs_dim: int = 8
     va_obs_dim: int = 10
-    vs_obs_dim: int = 8
+    vs_obs_dim: int = 12
     calib_frames: int = 160
     calib_video_frames: int = 120
-    calib_snrs: tuple[float, ...] = (12.0, 3.0, -6.0)
-    temp_a: float = 1.0
+    calib_snrs: tuple[float, ...] = (9.0, 0.0, -9.0)
+    temp_a: float = 1.5
     temp_va: float = 1.0
     temp_vs: float = 1.0
     lm_concentration: float = 3.0

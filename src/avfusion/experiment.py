@@ -72,7 +72,6 @@ from .signal_reliability import (
 # experiment
 from .fusion import oracle_weights  # noqa: F401
 
-SINGLE_STREAM_STRATEGIES = ("ao", "va", "vs")
 ALL_STRATEGIES = ("ao", "va", "vs", "early", "static", "dsw-mse", "dsw-ce",
                   "oracle", "dfn-lstm", "dfn-blstm")
 TRAINED_STRATEGIES = ("dsw-mse", "dsw-ce", "dfn-lstm", "dfn-blstm")
@@ -200,15 +199,6 @@ def condition_grid(cfg: dict) -> list:
     return [float(s) for s in cfg["snr_grid"]] + [None]
 
 
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    t = cfg["training"]
-    return TrainConfig(lr0=t["lr0"], lr_decay=t["lr_decay"],
-                       batch_size=t["batch_size"],
-                       check_interval=t["check_interval"],
-                       patience=t["patience"], max_steps=t["max_steps"],
-                       seed=seed)
-
-
 def build_training_items(world: World, graph: DecodingGraph,
                          utts: list[Utterance], first: int,
                          conditions: list, kinds: list[str],
@@ -288,21 +278,19 @@ class TrainingError(RuntimeError):
 def _train_one(job: tuple, strat: str) -> tuple:
     """(model, best validation CE) of one learned strategy."""
     cfg, seed, num_states, train_items, val_items = job
-    tc = _train_config(cfg, seed)
+    tc = TrainConfig(**cfg["training"], seed=seed)
     rel_dim = train_items[0]["reliability"].shape[1]
     try:
         if strat.startswith("dfn-"):
             variant = strat.split("-", 1)[1]
-            d = cfg["dfn"]
             model, history = train_dfn(
                 train_items, val_items, variant, num_states, rel_dim, tc,
-                widths=tuple(d["widths"]), hidden=d["hidden"],
-                scale=d["scale"], dropout=d["dropout"])
+                **cfg["dfn"])
         else:
             criterion = strat.split("-", 1)[1]
             model, history = train_weight_estimator(
                 train_items, val_items, criterion, num_states, tc,
-                hidden=cfg["estimator"]["hidden"])
+                **cfg["estimator"])
     except Exception as exc:
         raise TrainingError(f"training {strat} for seed {seed} failed: "
                             f"{type(exc).__name__}: {exc}") from exc
@@ -493,7 +481,7 @@ def _fuse_for_strategy(strategy: str, cell: Cell, world: World,
     if strategy == "oracle":
         return dynamic_fuse(logs, oracle.weights)
     if strategy in ("dsw-mse", "dsw-ce"):
-        return dynamic_fuse(logs, models[strategy].predict(cell.rel).weights)
+        return dynamic_fuse(logs, models[strategy].predict(cell.rel))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -562,7 +550,7 @@ def _decode_into(rows: list[dict], fused: list[list], strategies: list[str],
 
 
 @single_blas_thread()
-def run_sweep(cfg: dict, models_out: dict | None = None) -> SweepResult:
+def run_sweep(cfg: dict) -> SweepResult:
     """Run the full experiment grid described by a validated config dict.
 
     A seed's model-free strategies are evaluated while its learned ones
@@ -592,8 +580,6 @@ def run_sweep(cfg: dict, models_out: dict | None = None) -> SweepResult:
         for strat, best in seed_val_ce.items():
             if strat.startswith("dfn-"):
                 result.val_ce.setdefault(strat, []).append(best)
-        if models_out is not None:
-            models_out[seed] = models
         for label, (cells, rows) in zip(labels, passes):
             if learned:
                 _decode_into(rows, fuse_cells(cells, learned, world, models,

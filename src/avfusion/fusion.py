@@ -28,8 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlignmentTarget, StreamWeights, reading_artifact
+from .core import STREAMS, AlignmentTarget, StreamWeights, reading_artifact
 from . import nn
+
+ARMIJO_SLOPE = 1e-4  # share of the predicted decrease a step must achieve
+LINE_SEARCH_HALVINGS = 40  # step halvings before a frame's search gives up
 
 
 def _stack_logs(log_posts: list[np.ndarray]) -> np.ndarray:
@@ -195,8 +198,7 @@ def _face_newton_direction(q, lp, mean, g, face) -> np.ndarray:
     return np.linalg.solve(kkt, rhs)[:, :m, 0]
 
 
-def _boundary_armijo_step(lam, f_cur, q, d, g, lp, lstar,
-                          armijo: float = 1e-4, halvings: int = 40):
+def _boundary_armijo_step(lam, f_cur, q, d, g, lp, lstar):
     """Move each frame along d: the largest step up to 1 that keeps the
     weights nonnegative (the blocking weight set to exactly 0), halved
     until the Armijo condition holds. Returns the new weights, objective
@@ -211,7 +213,7 @@ def _boundary_armijo_step(lam, f_cur, q, d, g, lp, lstar,
     new_lam, new_f, new_q = lam.copy(), f_cur.copy(), q.copy()
     moved = np.zeros(t_len, dtype=bool)
     todo = rows[step > 0]
-    for _ in range(halvings):
+    for _ in range(LINE_SEARCH_HALVINGS):
         if not todo.size:
             break
         alpha = step[todo]
@@ -223,7 +225,7 @@ def _boundary_armijo_step(lam, f_cur, q, d, g, lp, lstar,
         f_new, q_new = _fused_objective(cand, lp[todo], lstar[todo])
         # the slack admits steps near the optimum, whose predicted decrease
         # is below the resolution of f
-        ok = f_new <= (f_cur[todo] + armijo * alpha * slope[todo]
+        ok = f_new <= (f_cur[todo] + ARMIJO_SLOPE * alpha * slope[todo]
                        + 1e-15 * (1.0 + np.abs(f_cur[todo])))
         acc = todo[ok]
         new_lam[acc], new_f[acc], new_q[acc] = cand[ok], f_new[ok], q_new[ok]
@@ -292,11 +294,11 @@ class WeightEstimator:
     input_std: np.ndarray
     criterion: str
 
-    def predict(self, reliability: np.ndarray) -> StreamWeights:
+    def predict(self, reliability: np.ndarray) -> np.ndarray:
+        """The (T, M) stream weights of a (T, R) reliability matrix."""
         x = (np.asarray(reliability, dtype=np.float64) - self.input_mean) \
             / self.input_std
-        log_lam = self.net.infer(x[None])[0]
-        return StreamWeights(np.exp(log_lam))
+        return np.exp(self.net.infer(x[None])[0])
 
     def save(self, path: str) -> None:
         nn.save_checkpoint(self.net, path)
@@ -382,7 +384,7 @@ def _ce_weight_loss_factory(num_states: int):
 def train_weight_estimator(train_items: list[dict], val_items: list[dict],
                            criterion: str, num_states: int,
                            config: nn.TrainConfig,
-                           hidden: int = 32) -> tuple[WeightEstimator, dict]:
+                           hidden: int) -> tuple[WeightEstimator, dict]:
     """Fit the dynamic-weight estimator.
 
     Items carry 'reliability' (T, R) plus, for MSE, 'oracle_weights'
@@ -408,27 +410,29 @@ def train_weight_estimator(train_items: list[dict], val_items: list[dict],
                 packed.append((x, tgt))
         return packed
 
-    n_streams = 3
-    net = nn.build_network(estimator_specs(mean.shape[0], n_streams, hidden),
-                           rng=config.seed)
+    net = nn.build_network(estimator_specs(mean.shape[0], len(STREAMS),
+                                           hidden), rng=config.seed)
     loss_fn = _mse_weight_loss if criterion == "mse" else \
         _ce_weight_loss_factory(num_states)
     history = nn.train(net, pack(train_items), pack(val_items), config, loss_fn)
     return WeightEstimator(net, mean, std, criterion), history
 
 
-def dfn_input_dim(num_states: int, rel_dim: int, n_streams: int = 3) -> int:
+def dfn_input_dim(num_states: int, rel_dim: int) -> int:
     """Input width of the DFN: all stream posteriors plus the reliability
     vector per frame."""
-    return n_streams * num_states + rel_dim
+    return len(STREAMS) * num_states + rel_dim
 
 
 def dfn_specs(num_states: int, rel_dim: int, variant: str,
-              widths: tuple[int, int, int] = (256, 128, 64),
-              hidden: int = 64, scale: float = 1.0,
-              dropout: float = 0.15) -> list[dict]:
+              widths: list[int], hidden: int, scale: float,
+              dropout: float) -> list[dict]:
     """DFN topology: three dense blocks (ReLU + layer norm + dropout), three
-    recurrent layers, then a dense log-softmax readout over states."""
+    recurrent layers, then a dense log-softmax readout over states.
+
+    The sizes are the config's ``dfn`` section: ``scale`` multiplies the
+    dense ``widths`` and the recurrent ``hidden`` size (each at least 4).
+    """
     if variant not in ("lstm", "blstm"):
         raise ValueError(f"variant must be 'lstm' or 'blstm', got {variant!r}")
     dims = [max(int(round(w * scale)), 4) for w in widths]
@@ -544,9 +548,7 @@ def dfn_fuse(posteriors: list[list[np.ndarray]],
 
 def train_dfn(train_items: list[dict], val_items: list[dict], variant: str,
               num_states: int, rel_dim: int, config: nn.TrainConfig,
-              widths: tuple[int, int, int] = (256, 128, 64),
-              hidden: int = 64, scale: float = 1.0,
-              dropout: float = 0.15,
+              widths: list[int], hidden: int, scale: float, dropout: float,
               chunk_frames: int = 40) -> tuple[DfnModel, dict]:
     """Train a DFN variant on items carrying 'posteriors' (list of (T, S)),
     'reliability' (T, R), and alignment 'targets' (T,).

@@ -7,6 +7,7 @@ import numpy as np
 from .layers import Dropout, Layer, Network
 
 FD_STEP = 1e-5
+DROPOUT_SEED = 1234  # every dropout mask of a check is drawn from it
 
 
 def numerical_gradient(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -33,10 +34,10 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def _reseed_dropout(net: Network, seed: int = 1234):
+def _reseed_dropout(net: Network):
     for layer in net.layers:
         if isinstance(layer, Dropout):
-            layer.rng = np.random.default_rng(seed)
+            layer.rng = np.random.default_rng(DROPOUT_SEED)
 
 
 def check_gradients(model, x: np.ndarray, mask: np.ndarray | None = None,

@@ -17,6 +17,8 @@ import numpy as np
 
 from ..core import read_matrix, reading_artifact, write_matrix
 
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     """Uniform Glorot-style init scaled by fan-in + fan-out."""
@@ -91,16 +93,16 @@ class ReLU(Layer):
 
 
 class LayerNorm(Layer):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
-        self.dim, self.eps = dim, eps
+        self.dim = dim
         self.params = {"gamma": np.ones(dim), "beta": np.zeros(dim)}
 
     def forward(self, x, mask=None, train=False):
         centered = x - x.mean(axis=-1, keepdims=True)
         # the mean of squared deviations is exactly what x.var computes
         var = (centered * centered).mean(axis=-1, keepdims=True)
-        std = np.sqrt(var + self.eps)
+        std = np.sqrt(var + LAYER_NORM_EPS)
         xhat = np.divide(centered, std, out=centered)
         self._cache = (xhat, std)
         out = self.params["gamma"] * xhat

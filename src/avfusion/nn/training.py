@@ -18,12 +18,14 @@ from .optim import Adam
 
 @dataclass
 class TrainConfig:
-    lr0: float = 5e-4
+    """Its defaults, ``seed`` aside, are the config's ``training`` defaults."""
+
+    lr0: float = 3e-3
     lr_decay: float = 0.8
     batch_size: int = 10
     check_interval: int = 100
-    patience: int = 300
-    max_steps: int = 100_000
+    patience: int = 600
+    max_steps: int = 3000
     seed: int = 0
 
     def __post_init__(self):

@@ -16,6 +16,7 @@ SAMPLE_RATE = 16000
 FRAME_LEN = 400  # 25 ms
 FRAME_SHIFT = 160  # 10 ms
 N_FFT = 512
+N_MELS = 23
 PREEMPHASIS = 0.97
 MEL_LOG_FLOOR = 1e-10
 SNR_CAP_DB = 40.0
@@ -23,19 +24,23 @@ PITCH_FMIN = 50.0
 PITCH_FMAX = 500.0
 VOICING_F0_THRESHOLD = 0.35
 PITCH_BLOCK = 256  # frames per batched correlation, bounds its memory
+# the decision-directed SNR estimator: recursive smoothing of the a priori
+# SNR, and the percentile of each bin's energy track that, times the bias,
+# estimates its noise power
+SNR_SMOOTHING = 0.92
+NOISE_PERCENTILE = 20.0
+NOISE_BIAS = 1.8
 
 
-def num_frames(n_samples: int, frame_len: int = FRAME_LEN,
-               shift: int = FRAME_SHIFT) -> int:
-    if n_samples < frame_len:
+def num_frames(n_samples: int) -> int:
+    if n_samples < FRAME_LEN:
         raise ValueError(f"signal of {n_samples} samples shorter than one frame")
-    return 1 + (n_samples - frame_len) // shift
+    return 1 + (n_samples - FRAME_LEN) // FRAME_SHIFT
 
 
-def _frame_signal(x: np.ndarray, frame_len: int = FRAME_LEN,
-                  shift: int = FRAME_SHIFT) -> np.ndarray:
-    t = num_frames(x.shape[0], frame_len, shift)
-    idx = np.arange(frame_len)[None, :] + shift * np.arange(t)[:, None]
+def _frame_signal(x: np.ndarray) -> np.ndarray:
+    t = num_frames(x.shape[0])
+    idx = np.arange(FRAME_LEN)[None, :] + FRAME_SHIFT * np.arange(t)[:, None]
     return x[idx]
 
 
@@ -48,15 +53,14 @@ def mel_to_hz(m):
 
 
 @functools.lru_cache(maxsize=None)
-def mel_filterbank(n_mels: int, n_fft: int = N_FFT, fs: int = SAMPLE_RATE,
-                   fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
-    """Triangular mel filters over the rfft bins, shape (n_mels, n_fft//2+1).
+def mel_filterbank(n_mels: int) -> np.ndarray:
+    """Triangular mel filters from 0 Hz to the Nyquist frequency over the
+    rfft bins, shape (n_mels, N_FFT//2+1).
 
     Memoised; the returned array is shared and read-only."""
-    if fmax is None:
-        fmax = fs / 2.0
-    points = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
-    bins = np.fft.rfftfreq(n_fft, d=1.0 / fs)
+    points = mel_to_hz(np.linspace(hz_to_mel(0.0),
+                                   hz_to_mel(SAMPLE_RATE / 2.0), n_mels + 2))
+    bins = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
     fb = np.zeros((n_mels, bins.shape[0]))
     for m in range(n_mels):
         lo, mid, hi = points[m], points[m + 1], points[m + 2]
@@ -80,7 +84,7 @@ def dct_matrix(n: int) -> np.ndarray:
     return c
 
 
-def log_mel_frames(waveform: np.ndarray, n_mels: int = 23) -> np.ndarray:
+def log_mel_frames(waveform: np.ndarray) -> np.ndarray:
     """Log mel filterbank energies per frame (pre-emphasis, Hann, magnitude)."""
     x = np.asarray(waveform, dtype=np.float64)
     if x.size == 0:
@@ -88,13 +92,13 @@ def log_mel_frames(waveform: np.ndarray, n_mels: int = 23) -> np.ndarray:
     emph = np.concatenate(([x[0]], x[1:] - PREEMPHASIS * x[:-1]))
     frames = _frame_signal(emph) * np.hanning(FRAME_LEN)
     mag = np.abs(np.fft.rfft(frames, n=N_FFT, axis=-1))
-    mel = mag @ mel_filterbank(n_mels).T
+    mel = mag @ mel_filterbank(N_MELS).T
     return np.log(np.maximum(mel, MEL_LOG_FLOOR))
 
 
-def mfcc_frames(waveform: np.ndarray, n_mels: int = 23, n_keep: int = 5) -> np.ndarray:
+def mfcc_frames(waveform: np.ndarray, n_keep: int = 5) -> np.ndarray:
     """First ``n_keep`` MFCCs per 10 ms frame of a 16 kHz signal."""
-    return mfcc_from_log_mel(log_mel_frames(waveform, n_mels), n_keep)
+    return mfcc_from_log_mel(log_mel_frames(waveform), n_keep)
 
 
 def mfcc_from_log_mel(logmel: np.ndarray, n_keep: int) -> np.ndarray:
@@ -126,17 +130,16 @@ def frame_energy(x: np.ndarray) -> np.ndarray:
     return np.sum(_frame_signal(np.asarray(x, dtype=np.float64)) ** 2, axis=-1)
 
 
-def snr_db_from_energies(signal_energy: np.ndarray, noise_energy: np.ndarray,
-                         cap_db: float = SNR_CAP_DB) -> np.ndarray:
-    """10 log10(S/N) per frame, clamped to +-cap_db (floors guard zeros)."""
+def snr_db_from_energies(signal_energy: np.ndarray,
+                         noise_energy: np.ndarray) -> np.ndarray:
+    """10 log10(S/N) per frame, clamped to +-SNR_CAP_DB (floors guard
+    zeros)."""
     s = np.maximum(np.asarray(signal_energy, dtype=np.float64), 1e-300)
     n = np.maximum(np.asarray(noise_energy, dtype=np.float64), 1e-300)
-    return np.clip(10.0 * np.log10(s / n), -cap_db, cap_db)
+    return np.clip(10.0 * np.log10(s / n), -SNR_CAP_DB, SNR_CAP_DB)
 
 
-def estimate_frame_snr(noisy: np.ndarray, smoothing: float = 0.92,
-                       noise_percentile: float = 20.0,
-                       noise_bias: float = 1.8) -> np.ndarray:
+def estimate_frame_snr(noisy: np.ndarray) -> np.ndarray:
     """Decision-directed per-frame SNR estimate from the noisy signal alone.
 
     The noise power spectrum is taken as a low percentile of the per-bin
@@ -147,22 +150,22 @@ def estimate_frame_snr(noisy: np.ndarray, smoothing: float = 0.92,
     frames = _frame_signal(x) * np.hanning(FRAME_LEN)
     psd = np.abs(np.fft.rfft(frames, n=N_FFT, axis=-1)) ** 2
     noise_psd = np.maximum(
-        np.percentile(psd, noise_percentile, axis=0) * noise_bias, 1e-12
+        np.percentile(psd, NOISE_PERCENTILE, axis=0) * NOISE_BIAS, 1e-12
     )
     gamma = psd / noise_psd
     xi = np.empty_like(gamma)
     prev = np.maximum(gamma[0] - 1.0, 0.0)
     xi[0] = prev
     for t in range(1, gamma.shape[0]):
-        prev = smoothing * prev + (1.0 - smoothing) * np.maximum(gamma[t] - 1.0, 0.0)
+        prev = (SNR_SMOOTHING * prev
+                + (1.0 - SNR_SMOOTHING) * np.maximum(gamma[t] - 1.0, 0.0))
         xi[t] = prev
     weights = noise_psd / noise_psd.sum()
     ratio = np.maximum((xi * weights).sum(axis=-1), 1e-300)
     return np.clip(10.0 * np.log10(ratio), -SNR_CAP_DB, SNR_CAP_DB)
 
 
-def pitch_nccf(waveform: np.ndarray, fs: int = SAMPLE_RATE,
-               corr_len: int = FRAME_LEN) -> tuple[np.ndarray, np.ndarray]:
+def pitch_nccf(waveform: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (f0, voicing) from the normalized cross-correlation function.
 
     Lags span the 50-500 Hz pitch range; voicing is the peak NCCF clamped to
@@ -172,21 +175,21 @@ def pitch_nccf(waveform: np.ndarray, fs: int = SAMPLE_RATE,
     x = np.asarray(waveform, dtype=np.float64)
     n = x.shape[0]
     t_total = num_frames(n)
-    lag_min = int(fs / PITCH_FMAX)
-    lag_max = int(round(fs / PITCH_FMIN))
+    lag_min = int(SAMPLE_RATE / PITCH_FMAX)
+    lag_max = int(round(SAMPLE_RATE / PITCH_FMIN))
     peak = np.zeros(t_total)
     best_lag = np.ones(t_total)
     # interior frames: the full window and every lag fit in the signal
-    t_full = min(max(0, (n - corr_len - lag_max) // FRAME_SHIFT + 1), t_total)
+    t_full = min(max(0, (n - FRAME_LEN - lag_max) // FRAME_SHIFT + 1), t_total)
     for lo in range(0, t_full, PITCH_BLOCK):
         hi = min(lo + PITCH_BLOCK, t_full)
         peak[lo:hi], best_lag[lo:hi] = _nccf_peaks(
-            x[lo * FRAME_SHIFT:], hi - lo, corr_len, lag_min, lag_max)
+            x[lo * FRAME_SHIFT:], hi - lo, FRAME_LEN, lag_min, lag_max)
     # edge frames: the lookahead runs past the signal, so truncate
     for t in range(t_full, t_total):
         s = t * FRAME_SHIFT
         avail = n - s
-        k = min(corr_len, avail - lag_max)
+        k = min(FRAME_LEN, avail - lag_max)
         if k < 32:
             k = max(avail - lag_min - 1, 0)
             if k < 32:
@@ -194,7 +197,7 @@ def pitch_nccf(waveform: np.ndarray, fs: int = SAMPLE_RATE,
         peak[t:t + 1], best_lag[t:t + 1] = _nccf_peaks(
             x[s:], 1, k, lag_min, min(lag_max, avail - k))
     voicing = np.clip(peak, 0.0, 1.0)
-    f0 = np.where(voicing >= VOICING_F0_THRESHOLD, fs / best_lag, 0.0)
+    f0 = np.where(voicing >= VOICING_F0_THRESHOLD, SAMPLE_RATE / best_lag, 0.0)
     return f0, voicing
 
 

@@ -13,7 +13,7 @@ import pytest
 from avfusion import cli, corpus, experiment
 from avfusion.cli import main
 from avfusion.config import validate_config
-from avfusion.core import STREAMS, read_manifest, read_matrix, write_matrix
+from avfusion.core import STREAMS, read_matrix, write_matrix
 
 TINY = {
     "world": {
@@ -34,6 +34,12 @@ TINY = {
                  "patience": 20, "max_steps": 40},
     "out_dir": "unused",
 }
+
+
+def _manifest_entries(out) -> list[dict]:
+    """The utterance entries of synth's manifest under ``out``."""
+    with open(f"{out}/manifest.json") as fh:
+        return json.load(fh)["utterances"]
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +80,22 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(p), "--out",
                      str(tmp_path / "o")]) == 2
         assert "lm_scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", 0), ("check_interval", 0), ("patience", -1),
+        ("max_steps", 0)])
+    def test_out_of_range_training_exits_2_before_any_work(
+            self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(
+            TINY, strategies=["ao", "dsw-ce"],
+            training=dict(TINY["training"], **{key: value}))))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: training: ")
+        assert not (out / "models").exists()
+        assert not (out / "sweep.csv").exists()
 
     def test_unknown_strategy_exits_2(self, tiny_cfg, tmp_path, capsys):
         assert main(["fuse", "--config", tiny_cfg, "--out",
@@ -167,45 +189,43 @@ class TestSynthArtifacts:
         out = pipeline_out
         world_doc = json.loads(open(f"{out}/world.json").read())
         assert "vocabulary" in world_doc
-        _, records = read_manifest(f"{out}/manifest.json")
-        assert len(records) == TINY["corpus"]["test"]
-        for rec in records:
+        entries = _manifest_entries(out)
+        assert len(entries) == TINY["corpus"]["test"]
+        for entry in entries:
             # one wav per condition (grid + clean)
-            assert sorted(rec.audio_paths) == ["0", "clean"]
+            assert sorted(entry["audio"]) == ["0", "clean"]
 
     def test_alignment_lengths_match(self, pipeline_out):
         out = pipeline_out
-        _, records = read_manifest(f"{out}/manifest.json")
-        for rec in records:
-            align = read_matrix(f"{out}/{rec.alignment_path}")
-            assert align.shape == (rec.num_audio_frames, 1)
+        for entry in _manifest_entries(out):
+            align = read_matrix(f"{out}/{entry['alignment']}")
+            assert align.shape == (entry["num_audio_frames"], 1)
 
     def test_synth_idempotent(self, tiny_cfg, pipeline_out):
         manifest_before = open(f"{pipeline_out}/manifest.json", "rb").read()
         world_before = open(f"{pipeline_out}/world.json", "rb").read()
         assert main(["synth", "--config", tiny_cfg, "--out",
                      pipeline_out]) == 0
-        # synth rewrites its own records; extract-added paths are dropped,
-        # so compare the world and the per-utterance identity fields
+        # synth rewrites its own entries, dropping the paths extract added,
+        # and keeps the rest of the manifest byte for byte
         assert open(f"{pipeline_out}/world.json", "rb").read() == world_before
         before = json.loads(manifest_before)
-        after = json.loads(open(f"{pipeline_out}/manifest.json").read())
-        for b, a in zip(before["utterances"], after["utterances"]):
-            assert b["id"] == a["id"]
-            assert b["transcript"] == a["transcript"]
-            assert b["audio"] == a["audio"]
+        for entry in before["utterances"]:
+            assert entry["posteriors"]
+            entry["posteriors"] = {}
+        assert open(f"{pipeline_out}/manifest.json", "rb").read() == \
+            json.dumps(before, indent=1, sort_keys=True).encode()
         # re-run extract so later tests see the enriched manifest again
         assert main(["extract", "--config", tiny_cfg, "--out",
                      pipeline_out]) == 0
 
     def test_extracted_posteriors_are_stochastic(self, pipeline_out):
         out = pipeline_out
-        _, records = read_manifest(f"{out}/manifest.json")
-        rec = records[0]
-        post = read_matrix(f"{out}/{rec.posterior_paths['A']['clean']}")
+        entry = _manifest_entries(out)[0]
+        post = read_matrix(f"{out}/{entry['posteriors']['A']['clean']}")
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-5)
-        rel = read_matrix(f"{out}/{rec.posterior_paths['REL']['clean']}")
-        assert rel.shape[0] == rec.num_audio_frames
+        rel = read_matrix(f"{out}/{entry['posteriors']['REL']['clean']}")
+        assert rel.shape[0] == entry["num_audio_frames"]
 
 
 class TestSweepAndReport:
@@ -311,16 +331,16 @@ class TestStagedChainMatchesSweep:
 
     def test_extract_writes_the_fused_cells(self, chain):
         out = chain.out
-        _, records = read_manifest(out / "manifest.json")
+        entries = _manifest_entries(out)
         # fuse runs seed 0's conditions first, in grid order then clean
         seed0 = dict(zip(["-6", "3", "clean"], chain.fused_cells[:3]))
         for label, cells in seed0.items():
-            for record, cell in zip(records, cells):
-                assert record.utt_id == cell.utt.utt_id
+            for entry, cell in zip(entries, cells):
+                assert entry["id"] == cell.utt.utt_id
                 mats = {s: cell.posts[s] for s in STREAMS}
                 mats["REL"] = cell.rel
                 for name, mat in mats.items():
-                    got = read_matrix(out / record.posterior_paths[name][label])
+                    got = read_matrix(out / entry["posteriors"][name][label])
                     np.testing.assert_array_equal(
                         got, mat.astype(np.float32), err_msg=name)
 
@@ -564,6 +584,10 @@ STAGED_DAMAGES = {
     "manifest-without-utterances": (
         "extract", "manifest.json",
         _edit_json(lambda doc: doc.pop("utterances"))),
+    "manifest-posteriors-not-an-object": (
+        "extract", "manifest.json",
+        _edit_json(lambda doc: doc["utterances"][0].__setitem__(
+            "posteriors", "A"))),
     "fused-truncated-header": (
         "decode", "fused/ao/seed0/u200000.0.avpf",
         lambda p: p.write_bytes(p.read_bytes()[:3])),

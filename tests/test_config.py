@@ -12,6 +12,8 @@ from avfusion.config import (
     load_config,
     validate_config,
 )
+from avfusion.corpus import WorldConfig
+from avfusion.nn import TrainConfig
 
 
 class TestValidateConfig:
@@ -20,6 +22,13 @@ class TestValidateConfig:
         assert cfg["world"]["vocab_size"] == DEFAULT_CONFIG["world"]["vocab_size"]
         assert cfg["snr_grid"] == DEFAULT_CONFIG["snr_grid"]
         assert cfg["training"]["lr0"] == DEFAULT_CONFIG["training"]["lr0"]
+
+    def test_world_and_training_defaults_are_the_dataclasses(self):
+        cfg = validate_config({})
+        assert cfg["world"] == WorldConfig().to_doc()
+        training = vars(TrainConfig()).copy()
+        del training["seed"]
+        assert cfg["training"] == training
 
     def test_partial_override_keeps_rest(self):
         cfg = validate_config({"world": {"vocab_size": 5}})

@@ -11,11 +11,8 @@ from avfusion.core import (
     AlignmentTarget,
     FormatError,
     StreamWeights,
-    UtteranceRecord,
     normalize_posteriors,
-    read_manifest,
     read_matrix,
-    write_manifest,
     write_matrix,
 )
 
@@ -270,36 +267,3 @@ class TestDomainTypes:
             AlignmentTarget(np.array([0, 3]), num_states=3)
         with pytest.raises(ValueError, match="1-D"):
             AlignmentTarget(np.zeros((2, 2), dtype=int), num_states=3)
-
-
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        rec = UtteranceRecord(
-            utt_id="u000001",
-            transcript=["ba", "ko"],
-            split="test",
-            audio_paths={"clean": "audio/u000001.clean.wav"},
-            posterior_paths={"clean": {"A": "feats/u000001.clean.A.avpf"}},
-            alignment_path="align/u000001.avpf",
-            video_path="video/u000001.raw",
-            num_video_frames=20,
-            num_audio_frames=80,
-        )
-        path = tmp_path / "manifest.json"
-        write_manifest(path, "world.json", [rec])
-        world, records = read_manifest(path)
-        assert world == "world.json"
-        assert len(records) == 1
-        back = records[0]
-        assert back.utt_id == rec.utt_id
-        assert back.transcript == rec.transcript
-        assert back.audio_paths == rec.audio_paths
-        assert back.posterior_paths == rec.posterior_paths
-        assert back.num_audio_frames == 80
-
-    def test_manifest_is_stable_text(self, tmp_path):
-        rec = UtteranceRecord(utt_id="u0", transcript=["a"], split="train")
-        p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        write_manifest(p1, "w.json", [rec])
-        write_manifest(p2, "w.json", [rec])
-        assert p1.read_bytes() == p2.read_bytes()

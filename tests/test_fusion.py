@@ -392,10 +392,11 @@ class TestWeightEstimator:
         cfg = nn.TrainConfig(lr0=0.03, batch_size=4, check_interval=25,
                              patience=150, max_steps=600, seed=1)
         est, hist = train_weight_estimator(train_items, val_items, "mse",
-                                           num_states=4, config=cfg)
+                                           num_states=4, config=cfg,
+                                           hidden=32)
         assert hist["best_val"] < 1e-3
         pred = est.predict(rng.standard_normal((6, 5)))
-        npt.assert_allclose(pred.weights, np.tile(lam, (6, 1)), atol=0.05)
+        npt.assert_allclose(pred, np.tile(lam, (6, 1)), atol=0.05)
 
     def test_ce_mode_beats_equal_weights(self):
         rng = np.random.default_rng(16)
@@ -404,7 +405,8 @@ class TestWeightEstimator:
         cfg = nn.TrainConfig(lr0=0.03, batch_size=4, check_interval=25,
                              patience=150, max_steps=600, seed=2)
         est, hist = train_weight_estimator(train_items, val_items, "ce",
-                                           num_states=4, config=cfg)
+                                           num_states=4, config=cfg,
+                                           hidden=32)
         equal = np.mean([
             linear_oracle_ce(list(it["log_posts"]), np.full(3, 1.0 / 3.0),
                              AlignmentTarget(it["targets"], 4))
@@ -416,8 +418,8 @@ class TestWeightEstimator:
         net = nn.build_network(estimator_specs(5, 3, 8), rng=3)
         est = WeightEstimator(net, np.zeros(5), np.ones(5), "mse")
         lam = est.predict(rng.standard_normal((20, 5)))
-        npt.assert_allclose(lam.weights.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(lam.weights >= 0.0)
+        npt.assert_allclose(lam.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(lam >= 0.0)
 
     def test_mse_requires_oracle_targets(self):
         rng = np.random.default_rng(18)
@@ -426,12 +428,13 @@ class TestWeightEstimator:
             del it["oracle_weights"]
         with pytest.raises(ValueError, match="oracle weight targets"):
             train_weight_estimator(items, items, "mse", num_states=4,
-                                   config=nn.TrainConfig(max_steps=10))
+                                   config=nn.TrainConfig(max_steps=10),
+                                   hidden=32)
 
     def test_unknown_criterion(self):
         with pytest.raises(ValueError, match="criterion"):
             train_weight_estimator([], [], "huber", num_states=4,
-                                   config=nn.TrainConfig())
+                                   config=nn.TrainConfig(), hidden=32)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -440,8 +443,7 @@ class TestWeightEstimator:
         est.save(str(tmp_path / "est"))
         back = WeightEstimator.load(str(tmp_path / "est"))
         x = rng.standard_normal((4, 5))
-        npt.assert_allclose(back.predict(x).weights,
-                            est.predict(x).weights, atol=1e-6)
+        npt.assert_allclose(back.predict(x), est.predict(x), atol=1e-6)
         assert back.criterion == "ce"
 
 
@@ -463,6 +465,16 @@ def _dfn_items(rng, n_items, t_len=24, rel_dim=5, s=4):
     return items
 
 
+# the sizes of the config's default dfn section, but for its scale
+DFN_SIZES = {"widths": [256, 128, 64], "hidden": 64, "dropout": 0.15}
+
+
+def _small_dfn(variant: str, seed: int) -> nn.Network:
+    """An untrained DFN over 4 states and 5 reliability features."""
+    return nn.build_network(dfn_specs(4, 5, variant, scale=0.05, **DFN_SIZES),
+                            rng=seed)
+
+
 class TestDfn:
     def test_full_scale_input_dim(self):
         assert dfn_input_dim(3856, 41) == 11609
@@ -477,22 +489,22 @@ class TestDfn:
         npt.assert_array_equal(x[:, 12:], rel)
 
     def test_specs_shape_ratio_and_floor(self):
-        specs = dfn_specs(4, 5, "blstm", scale=1.0)
+        specs = dfn_specs(4, 5, "blstm", scale=1.0, **DFN_SIZES)
         dense_outs = [sp["out"] for sp in specs if sp["kind"] == "dense"]
         assert dense_outs == [256, 128, 64, 4]
         rec = [sp for sp in specs if sp["kind"] == "blstm"]
         assert len(rec) == 3
         assert rec[1]["in"] == 2 * rec[0]["hidden"]
-        tiny = dfn_specs(4, 5, "lstm", scale=0.001)
+        tiny = dfn_specs(4, 5, "lstm", scale=0.001, **DFN_SIZES)
         assert all(sp["out"] >= 4 for sp in tiny if sp["kind"] == "dense")
 
     def test_bad_variant(self):
         with pytest.raises(ValueError, match="variant"):
-            dfn_specs(4, 5, "gru")
+            dfn_specs(4, 5, "gru", scale=1.0, **DFN_SIZES)
 
     def test_output_rows_are_log_distributions(self):
         rng = np.random.default_rng(21)
-        net = nn.build_network(dfn_specs(4, 5, "lstm", scale=0.05), rng=5)
+        net = _small_dfn("lstm", 5)
         model = DfnModel(net, "lstm", 4, 5, np.zeros(17), np.ones(17))
         posts = [rng.dirichlet(np.ones(4), size=6) for _ in range(3)]
         fused = dfn_fuse([posts], [rng.standard_normal((6, 5))], model)
@@ -501,7 +513,7 @@ class TestDfn:
     @pytest.mark.parametrize("variant", ["lstm", "blstm"])
     def test_batched_rows_match_one_utterance_calls(self, variant):
         rng = np.random.default_rng(26)
-        net = nn.build_network(dfn_specs(4, 5, variant, scale=0.05), rng=8)
+        net = _small_dfn(variant, 8)
         model = DfnModel(net, variant, 4, 5, rng.standard_normal(17),
                          rng.uniform(0.5, 2.0, 17))
         # shuffled lengths with a 1-frame utterance and one longer than a
@@ -522,7 +534,7 @@ class TestDfn:
 
     def test_zero_final_dense_gives_uniform(self):
         rng = np.random.default_rng(22)
-        net = nn.build_network(dfn_specs(4, 5, "lstm", scale=0.05), rng=6)
+        net = _small_dfn("lstm", 6)
         final = net.layers[-2]
         final.params["w"] = np.zeros_like(final.params["w"])
         final.params["b"] = np.zeros_like(final.params["b"])
@@ -533,7 +545,7 @@ class TestDfn:
 
     def test_layout_mismatch_rejected(self):
         rng = np.random.default_rng(23)
-        net = nn.build_network(dfn_specs(4, 5, "lstm", scale=0.05), rng=7)
+        net = _small_dfn("lstm", 7)
         model = DfnModel(net, "lstm", 4, 5, np.zeros(17), np.ones(17))
         posts = [rng.dirichlet(np.ones(4), size=3) for _ in range(3)]
         with pytest.raises(ValueError, match="input features"):
@@ -547,11 +559,11 @@ class TestDfn:
                              patience=100, max_steps=300, seed=3)
         model, hist = train_dfn(train_items, val_items, "lstm",
                                 num_states=4, rel_dim=5, config=cfg,
-                                scale=0.05, chunk_frames=12)
+                                scale=0.05, chunk_frames=12, **DFN_SIZES)
         assert hist["best_val"] < np.log(4.0)
         _, hist2 = train_dfn(train_items, val_items, "lstm", num_states=4,
                              rel_dim=5, config=cfg, scale=0.05,
-                             chunk_frames=12)
+                             chunk_frames=12, **DFN_SIZES)
         assert hist == hist2
         model.save(str(tmp_path / "dfn"))
         back = DfnModel.load(str(tmp_path / "dfn"))
@@ -564,4 +576,4 @@ class TestDfn:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train_dfn([], [], "lstm", num_states=4, rel_dim=5,
-                      config=nn.TrainConfig())
+                      config=nn.TrainConfig(), scale=0.05, **DFN_SIZES)
