@@ -53,8 +53,12 @@ per usable CPU, and train its learned models in forked processes, one per
 model up to the usable CPUs (only a platform without fork runs them here,
 in turn). Meanwhile `sweep` evaluates the strategies that need no trained
 model in this process; a training process that fails in the meantime is
-reported when that evaluation returns. Every stage runs with BLAS pinned
-to one thread, so the process count does not change the output bytes.
+reported when that evaluation returns. Then `sweep` fuses each learned
+strategy over every test cell of the seed in one call, a DFN's inference
+batches spread over forked processes the same way, and decodes them in
+one call; `fuse` fuses a condition per call, and a call of one batch runs
+in this process. Every stage runs with BLAS pinned to one thread, so the
+process count does not change the output bytes.
 
 Exit codes: 0 success, 1 runtime failure (including missing prerequisite
 artifacts, and damaged ones or ones written for another run, which the

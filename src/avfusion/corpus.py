@@ -84,6 +84,10 @@ class WorldConfig:
     lm_concentration: float = 3.0
 
     def __post_init__(self):
+        # a validated config gives lists; as tuples, every world config
+        # compares and hashes by value
+        for name in ("f0_range", "calib_snrs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.vocab_size < 2:
             raise ValueError("need a vocabulary of at least 2 words")
         if self.states_per_word < 1:

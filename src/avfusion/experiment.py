@@ -9,25 +9,26 @@ cell and averaged across seeds for the table.
 Within a seed the usable CPUs stay busy where they can. Training items
 are built in slices on a fork pool, and the learned strategies train on a
 second one, whose workers inherit the items; both go through one helper
-(``_fork_map``), which runs the calls in turn only where the platform
-cannot fork. Meanwhile this process builds the seed's test cells and
-fuses, decodes and keeps the strategies that need no trained model
-(``run_sweep``'s ``parent_work`` to ``train_strategy_models``). A worker's
-failure surfaces once that work returns. The learned strategies are fused
-and decoded when their models are back.
+(``forkpool.fork_map``), which runs the calls in turn only where the
+platform cannot fork. Meanwhile this process builds the seed's test cells
+and fuses, decodes and keeps the strategies that need no trained model,
+a condition at a time (``run_sweep``'s ``parent_work`` to
+``train_strategy_models``). A worker's failure surfaces once that work
+returns. When the models are back, each learned strategy fuses the cells
+of every condition in one call, a DFN's inference batches spread over a
+third fork pool (``fusion.dfn_fuse``), and one padded Viterbi run decodes
+them all. Fusion and decoding calls stay in this process; only the DFN's
+batches leave it.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import forkpool
 from .align import align_stream, bresenham_map
 from .blas import single_blas_thread
 from .core import STREAMS, AlignmentTarget
@@ -261,15 +262,6 @@ def _item_slice(job: tuple, split: str, lo: int, hi: int) -> list[dict]:
                                 list(cfg["noise_kinds"]), seed + noise)
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 class TrainingError(RuntimeError):
     """Training a learned strategy failed; the message names it and the
     seed."""
@@ -297,95 +289,20 @@ def _train_one(job: tuple, strat: str) -> tuple:
     return model, history["best_val"]
 
 
-_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-# the job of the calls a fork pool runs (``_fork_map``), set only while
-# they are submitted: the pool forks its workers at the first submit, and
-# they inherit it
-_WORKER_JOB = None
-
-
-def _call_with_job(fn, *call):
-    return fn(_WORKER_JOB, *call)
-
-
-def _stop_workers(pool: ProcessPoolExecutor) -> None:
-    """Shut the pool down without finishing its tasks: pending ones are
-    cancelled and running workers terminated, then reaped."""
-    # the executor has no public way to terminate its workers before
-    # Python 3.14 (terminate_workers), so this reads its process table
-    for proc in list((pool._processes or {}).values()):
-        proc.terminate()
-    pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _wait(futures: list, tasks: list[str], seed: int) -> None:
-    """Wait until all ``futures`` (running ``tasks``) are done, raising the
-    first failure at once; a dead worker, which fails every unfinished
-    task of its pool, as a ``TrainingError`` naming them."""
-    done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-    failed = [f for f in futures if f in done and f.exception() is not None]
-    if not failed:
-        return
-    error = failed[0].exception()
-    if isinstance(error, BrokenProcessPool):
-        unfinished = [task for task, f in zip(tasks, futures)
-                      if f.done() and f.exception() is not None]
-        raise TrainingError(
-            f"a worker died while {', '.join(unfinished)} "
-            f"for seed {seed}: {error}") from error
-    raise error
-
-
-def _fork_map(fn, job: tuple, calls: list[tuple], tasks: list[str],
-              seed: int, parent_work=None) -> list:
-    """``fn(job, *call)`` for each of ``calls`` (``tasks`` of ``seed``), in
-    order, on a fork pool of one worker per call up to the usable CPUs,
-    while ``parent_work`` (a callable, if given) runs here; where the
-    platform cannot fork, the calls and then ``parent_work`` run here.
-
-    The workers inherit ``job``, and this process drops it before
-    ``parent_work``. Any failure, in a worker or in ``parent_work``, stops
-    the workers and is raised at once; a worker's failure while
-    ``parent_work`` runs surfaces when it returns.
-    """
-    global _WORKER_JOB
-    work = parent_work or (lambda: None)
-    if not _CAN_FORK:
-        results = [fn(job, *call) for call in calls]
-        work()
-        return results
-    with ProcessPoolExecutor(
-            max_workers=min(len(calls), usable_cpus()),
-            mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            _WORKER_JOB, job = job, None
-            try:
-                futures = [pool.submit(_call_with_job, fn, *call)
-                           for call in calls]
-            finally:
-                _WORKER_JOB = None
-            work()
-            _wait(futures, tasks, seed)
-        except BaseException:
-            _stop_workers(pool)
-            raise
-    return [f.result() for f in futures]
-
-
 def _training_job(cfg: dict, world: World, graph: DecodingGraph, seed: int,
                   needed: list[str]) -> tuple:
     """The job ``_train_one`` takes: a seed's items by split, each split
     built in ordered slices, one per usable CPU, with the oracle targets
     where ``needed`` asks for them."""
-    workers = usable_cpus()
+    workers = forkpool.usable_cpus()
     c = cfg["corpus"]
     slices = [(split, c[split] * k // workers, c[split] * (k + 1) // workers)
               for split in _SPLITS for k in range(workers)]
     slices = [s for s in slices if s[1] < s[2]]
-    parts = _fork_map(_item_slice, (cfg, world, graph, seed), slices,
-                      [f"building {split} items {lo}-{hi - 1}"
-                       for split, lo, hi in slices], seed)
+    parts = forkpool.fork_map(
+        _item_slice, (cfg, world, graph, seed), slices,
+        [f"building {split} items {lo}-{hi - 1} for seed {seed}"
+         for split, lo, hi in slices], TrainingError)
     items: dict[str, list[dict]] = {split: [] for split in _SPLITS}
     for (split, _, _), part in zip(slices, parts):
         items[split] += part
@@ -409,10 +326,10 @@ def train_strategy_models(cfg: dict, world: World, graph: DecodingGraph,
     The training and validation items are built in ordered slices, one
     per usable CPU, on a fork pool; then each strategy trains in a worker
     of a second fork pool, which inherits the items, while
-    ``parent_work`` runs here (``_fork_map``). Each strategy trains from
-    its own seed on the same items, with BLAS at one thread, so the
-    results depend neither on the number of workers nor on whether the
-    platform could fork.
+    ``parent_work`` runs here (``forkpool.fork_map``). Each strategy
+    trains from its own seed on the same items, with BLAS at one thread,
+    so the results depend neither on the number of workers nor on whether
+    the platform could fork.
     """
     needed = [s for s in strategies if s in TRAINED_STRATEGIES]
     if not needed:
@@ -421,11 +338,11 @@ def train_strategy_models(cfg: dict, world: World, graph: DecodingGraph,
         return {}, {}
     # the job is built in the call, so that no name here keeps the items
     # while parent_work runs
-    trained = _fork_map(_train_one,
-                        _training_job(cfg, world, graph, seed, needed),
-                        [(strat,) for strat in needed],
-                        [f"training {strat}" for strat in needed],
-                        seed, parent_work)
+    trained = forkpool.fork_map(
+        _train_one, _training_job(cfg, world, graph, seed, needed),
+        [(strat,) for strat in needed],
+        [f"training {strat} for seed {seed}" for strat in needed],
+        TrainingError, parent_work)
     models = {strat: model for strat, (model, _) in zip(needed, trained)}
     val_ce = {strat: best for strat, (_, best) in zip(needed, trained)}
     return models, val_ce
@@ -487,7 +404,8 @@ def _fuse_for_strategy(strategy: str, cell: Cell, world: World,
 
 def fuse_cells(cells: list[Cell], strategies: list[str], world: World,
                models: dict, oracle_mode: str) -> list[list]:
-    """Fused log-posteriors of a condition's cells, indexed [cell][strategy].
+    """Fused log-posteriors of ``cells``, indexed [cell][strategy]: a
+    condition's cells, or those of every condition of a seed.
 
     The oracle weights of all the cells come from one solver run, and each
     DFN fuses all the cells in one ``dfn_fuse`` call, whose stacked rows
@@ -553,9 +471,13 @@ def _decode_into(rows: list[dict], fused: list[list], strategies: list[str],
 def run_sweep(cfg: dict) -> SweepResult:
     """Run the full experiment grid described by a validated config dict.
 
-    A seed's model-free strategies are evaluated while its learned ones
-    train (``train_strategy_models``'s ``parent_work``); the learned ones
-    are fused and decoded once their models are back.
+    A seed's model-free strategies are evaluated a condition at a time
+    while its learned ones train (``train_strategy_models``'s
+    ``parent_work``). Once the models are back, each learned strategy
+    fuses the cells of every condition in one call (``fuse_cells``, whose
+    DFN batches run on the fork pool), and one padded decode covers them
+    all: a seed takes one ``viterbi_decode_batch`` call per condition and
+    one more.
     """
     strategies = list(cfg["strategies"])
     unknown = [s for s in strategies if s not in ALL_STRATEGIES]
@@ -580,11 +502,13 @@ def run_sweep(cfg: dict) -> SweepResult:
         for strat, best in seed_val_ce.items():
             if strat.startswith("dfn-"):
                 result.val_ce.setdefault(strat, []).append(best)
-        for label, (cells, rows) in zip(labels, passes):
-            if learned:
-                _decode_into(rows, fuse_cells(cells, learned, world, models,
-                                              cfg["oracle_mode"]),
-                             learned, graph)
+        if learned:
+            cells = [cell for cells, _ in passes for cell in cells]
+            rows = [row for _, rows in passes for row in rows]
+            _decode_into(rows, fuse_cells(cells, learned, world, models,
+                                          cfg["oracle_mode"]),
+                         learned, graph)
+        for label, (_, rows) in zip(labels, passes):
             per_cell: dict[str, list[WerReport]] = {s: [] for s in strategies}
             for row in rows:
                 for strategy in strategies:

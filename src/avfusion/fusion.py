@@ -13,10 +13,11 @@ posterior), a ratio test that drops a weight to exactly 0 at the boundary,
 and release of the zero weight that most violates the KKT conditions once
 the face is solved. All frames of a batch iterate together, vectorized.
 
-DFN inference likewise takes many utterances per call (a whole condition
-in the sweep): they run as length-sorted, padded and masked batches
-through the network's cache-free inference pass, and come back as one
-stack of rows in input order.
+DFN inference likewise takes many utterances per call (every test cell of
+a seed in the sweep, a condition in the staged ``fuse``): they run as
+length-sorted, padded and masked batches through the network's cache-free
+inference pass, spread over a fork pool when there is more than one batch,
+and come back as one stack of rows in input order.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import forkpool, nn
+from .blas import single_blas_thread
 from .core import STREAMS, AlignmentTarget, StreamWeights, reading_artifact
-from . import nn
 
 ARMIJO_SLOPE = 1e-4  # share of the predicted decrease a step must achieve
 LINE_SEARCH_HALVINGS = 40  # step halvings before a frame's search gives up
@@ -505,6 +507,28 @@ def dfn_input(posteriors: list[np.ndarray], reliability: np.ndarray) -> np.ndarr
 DFN_BATCH_FRAMES = 1024  # padded frames per inference batch, at most
 
 
+class InferenceError(RuntimeError):
+    """DFN inference failed; the message names the variant and the
+    batch."""
+
+
+def _infer_batch(job: tuple, k: int) -> list[np.ndarray]:
+    """The rows of batch ``k`` of a ``dfn_fuse`` job (network, variant,
+    standardized inputs, batches as lists of input indices), one array per
+    utterance of the batch, padded and run where this is called."""
+    net, variant, inputs, batches = job
+    group = batches[k]
+    try:
+        x, mask = nn.pad_batch([inputs[i] for i in group])
+        out = net.infer(x, mask=mask)
+    except Exception as exc:
+        raise InferenceError(
+            f"dfn-{variant} inference of batch {k + 1} of {len(batches)} "
+            f"failed: {type(exc).__name__}: {exc}") from exc
+    return [out[b, :inputs[i].shape[0]] for b, i in enumerate(group)]
+
+
+@single_blas_thread()
 def dfn_fuse(posteriors: list[list[np.ndarray]],
              reliability: list[np.ndarray],
              model: DfnModel) -> np.ndarray:
@@ -514,10 +538,17 @@ def dfn_fuse(posteriors: list[list[np.ndarray]],
     Utterances are sorted by length and run as right-padded, masked
     batches of at most ``DFN_BATCH_FRAMES`` padded frames (an utterance
     longer than that runs alone), through the cache-free
-    ``Network.infer``. The result stacks every utterance's rows in input
-    order; rows are log-distributions by construction. A row equals the
-    utterance's own unpadded pass up to BLAS rounding (about 1e-15), since
-    masked frames never reach valid ones.
+    ``Network.infer``, with BLAS at one thread. A call of one batch runs
+    it here; a call of more runs them on a fork pool
+    (``forkpool.fork_map``), one worker per batch up to the usable CPUs,
+    whose workers inherit the standardized inputs and the network, pad
+    their own batches and send back the rows. A failing batch raises
+    ``InferenceError`` naming the variant and the batch, as does a worker
+    that dies. The result stacks every utterance's rows in input order,
+    bit for bit the same however many workers ran; rows are
+    log-distributions by construction. A row equals the utterance's own
+    unpadded pass up to BLAS rounding (about 1e-15), since masked frames
+    never reach valid ones. The network keeps no stored forward pass.
     """
     expected = dfn_input_dim(model.num_states, model.rel_dim)
     inputs = []
@@ -530,19 +561,27 @@ def dfn_fuse(posteriors: list[list[np.ndarray]],
     if not inputs:
         raise ValueError("no utterances to fuse")
     lengths = [x.shape[0] for x in inputs]
-    rows: list = [None] * len(inputs)
     # a stable sort, longest first: each batch is as long as its first
     order = sorted(range(len(inputs)), key=lambda i: -lengths[i])
+    batches = []
     start = 0
     while start < len(order):
-        width = lengths[order[start]]
-        size = max(1, DFN_BATCH_FRAMES // max(width, 1))
-        group = order[start:start + size]
-        x, mask = nn.pad_batch([inputs[i] for i in group])
-        out = model.net.infer(x, mask=mask)
-        for b, i in enumerate(group):
-            rows[i] = out[b, :lengths[i]]
+        size = max(1, DFN_BATCH_FRAMES // max(lengths[order[start]], 1))
+        batches.append(order[start:start + size])
         start += size
+    model.net.drop_caches()
+    job = (model.net, model.variant, inputs, batches)
+    if len(batches) == 1:
+        parts = [_infer_batch(job, 0)]
+    else:
+        parts = forkpool.fork_map(
+            _infer_batch, job, [(k,) for k in range(len(batches))],
+            [f"running dfn-{model.variant} batch {k + 1} of {len(batches)}"
+             for k in range(len(batches))], InferenceError)
+    rows: list = [None] * len(inputs)
+    for group, part in zip(batches, parts):
+        for i, row in zip(group, part):
+            rows[i] = row
     return np.concatenate(rows)
 
 

@@ -372,6 +372,11 @@ class Network:
             layer._cache = None
         return out
 
+    def drop_caches(self):
+        """Forget each layer's stored forward pass, as ``infer`` does."""
+        for layer in self.layers:
+            layer._cache = None
+
     def backward(self, dout):
         grad = dout
         for layer in reversed(self.layers):

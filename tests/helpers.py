@@ -1,12 +1,67 @@
-"""Exhaustive-search oracles shared by the decoder and acceptance tests.
+"""Helpers shared by several test files.
 
-These deliberately re-derive the best path by brute force so the dynamic
-programming code is checked against an independent formulation.
+The exhaustive-search oracles of the decoder and acceptance tests
+deliberately re-derive the best path by brute force so the dynamic
+programming code is checked against an independent formulation. The fork
+pool's tests (training and DFN inference) share the worker-count, BLAS
+and deadline controls.
 """
 
+import contextlib
 import itertools
+import multiprocessing
+import signal
 
 import numpy as np
+import pytest
+
+from avfusion import blas, forkpool
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the platform cannot fork; the pool's calls run in this process")
+needs_openblas = pytest.mark.skipif(
+    blas._openblas() is None, reason="numpy's bundled OpenBLAS not found")
+
+
+def blas_threads() -> int:
+    return blas._openblas()[0]()
+
+
+def cpus(monkeypatch, n: int) -> None:
+    """Pretend ``n`` usable CPUs: the fork pools get at most ``n``
+    workers."""
+    monkeypatch.setattr(forkpool, "usable_cpus", lambda: n)
+
+
+@contextlib.contextmanager
+def outer_blas_threads(n: int):
+    """Set OpenBLAS's thread count outside the pin (no-op without it)."""
+    funcs = blas._openblas()
+    if funcs is None:
+        yield
+        return
+    get, set_ = funcs
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail instead of hanging if the body outlives ``seconds``."""
+    def expire(*_):
+        raise TimeoutError(f"still waiting after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def enumerate_path_scores(graph, em):

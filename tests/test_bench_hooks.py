@@ -14,8 +14,9 @@ import sys
 from pathlib import Path
 
 import avfusion
-from avfusion import experiment
+from avfusion import experiment, forkpool
 from avfusion.config import validate_config
+from avfusion.corpus import WorldConfig, build_world
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -93,19 +94,24 @@ def test_sweep_calls_the_benchmark_hooks_in_this_process(monkeypatch):
     and checks the outputs of ``dfn_fuse`` and ``oracle_weights_batch``
     that it captures in this process: ``run_sweep`` must call the first
     once per seed, and the others (with ``viterbi_decode_batch``) here,
-    not in a worker, where the captures would stay empty."""
-    monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+    not in a worker, where the captures would stay empty. Its capture
+    wrapper forwards ``dfn_fuse``'s three positional arguments only."""
+    monkeypatch.setattr(forkpool, "usable_cpus", lambda: 2)
     names = ("train_strategy_models", "dfn_fuse", "oracle_weights_batch",
              "viterbi_decode_batch")
     pids: dict = {name: [] for name in names}
+    dfn_calls = []
     for name in names:
         def recorded(*args, real=getattr(experiment, name), name=name,
                      **kwargs):
             pids[name].append(os.getpid())
-            return real(*args, **kwargs)
+            out = real(*args, **kwargs)
+            if name == "dfn_fuse":
+                dfn_calls.append((len(args), kwargs, out.shape[0]))
+            return out
         monkeypatch.setattr(experiment, name, recorded)
-    experiment.run_sweep(validate_config(json.loads(json.dumps(
-        GUARD_CONFIG))))
+    cfg = validate_config(json.loads(json.dumps(GUARD_CONFIG)))
+    experiment.run_sweep(cfg)
     assert pids["train_strategy_models"] == [os.getpid()] * 2
     for name in names[1:]:
         assert pids[name], name
@@ -113,3 +119,14 @@ def test_sweep_calls_the_benchmark_hooks_in_this_process(monkeypatch):
     # per seed: the dsw-mse targets of all items, then the oracle
     # strategy's weights of each condition (0 dB and clean)
     assert len(pids["oracle_weights_batch"]) == 2 * (1 + 2)
+    # per seed: one decode per condition for the model-free strategies,
+    # one for the learned ones
+    assert len(pids["viterbi_decode_batch"]) == 2 * (2 + 1)
+    # per seed, the one DFN fuses every test cell of every condition in
+    # one call of the three positional arguments the benchmark forwards
+    conditions = len(experiment.condition_grid(cfg))
+    frames = [conditions * sum(
+        utt.num_audio_frames for utt in experiment.test_split(
+            cfg, build_world(WorldConfig(**cfg["world"]), seed)))
+        for seed in cfg["seeds"]]
+    assert dfn_calls == [(3, {}, n) for n in frames]

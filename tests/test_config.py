@@ -30,6 +30,16 @@ class TestValidateConfig:
         del training["seed"]
         assert cfg["training"] == training
 
+    def test_world_config_of_a_validated_config_compares_and_hashes(self):
+        doc = validate_config({})["world"]
+        world = WorldConfig(**doc)
+        assert world == WorldConfig()
+        assert hash(world) == hash(WorldConfig())
+        assert world.calib_snrs == (9.0, 0.0, -9.0)
+        assert world.to_doc() == doc
+        other = WorldConfig(**{**doc, "calib_snrs": [9.0, 0.0]})
+        assert other != world and hash(other) != hash(world)
+
     def test_partial_override_keeps_rest(self):
         cfg = validate_config({"world": {"vocab_size": 5}})
         assert cfg["world"]["vocab_size"] == 5

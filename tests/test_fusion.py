@@ -1,6 +1,8 @@
 """Tests for the stream integration strategies and their training loops."""
 
 import functools
+import multiprocessing
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -10,8 +12,12 @@ from hypothesis import given, settings, strategies as st
 from avfusion.core import AlignmentTarget, normalize_posteriors
 from avfusion.corpus import WorldConfig, build_world, sample_utterance
 from avfusion.decode import build_decoding_graph
-from avfusion.experiment import add_oracle_targets, build_training_items
-from avfusion import fusion
+from avfusion.experiment import (
+    TrainingError,
+    add_oracle_targets,
+    build_training_items,
+)
+from avfusion import blas, forkpool, fusion
 from avfusion.fusion import (
     DfnModel,
     WeightEstimator,
@@ -30,6 +36,14 @@ from avfusion.fusion import (
     train_weight_estimator,
 )
 from avfusion import nn
+from helpers import (
+    blas_threads,
+    cpus,
+    deadline,
+    needs_fork,
+    needs_openblas,
+    outer_blas_threads,
+)
 
 
 def random_log_posts(rng, n_streams, t_len, s):
@@ -577,3 +591,118 @@ class TestDfn:
         with pytest.raises(ValueError, match="empty"):
             train_dfn([], [], "lstm", num_states=4, rel_dim=5,
                       config=nn.TrainConfig(), scale=0.05, **DFN_SIZES)
+
+
+def _three_batches(variant: str):
+    """(posteriors, reliability, model) of a ``dfn_fuse`` call whose
+    utterances fill exactly three batches: 3 of 300 frames, 5 of 200 and
+    10 of 100, shuffled."""
+    rng = np.random.default_rng(27)
+    model = DfnModel(_small_dfn(variant, 9), variant, 4, 5,
+                     rng.standard_normal(17), rng.uniform(0.5, 2.0, 17))
+    lengths = rng.permutation([300] * 3 + [200] * 5 + [100] * 10)
+    posts = [[rng.dirichlet(np.ones(4), size=t) for _ in range(3)]
+             for t in lengths]
+    rels = [rng.standard_normal((t, 5)) for t in lengths]
+    return posts, rels, model
+
+
+def _logged_batches(monkeypatch, log, fail_width=None, die=False):
+    """Make each DFN batch append "<pid> <padded length> <BLAS threads>"
+    to ``log`` as it is padded; the batch ``fail_width`` frames long
+    raises, or with ``die`` exits its process, where a worker pads it."""
+    real = nn.pad_batch
+    parent = os.getpid()
+
+    def pad_batch(seqs):
+        x, mask = real(seqs)
+        threads = blas_threads() if blas._openblas() else 0
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {x.shape[1]} {threads}\n")
+        if x.shape[1] == fail_width and os.getpid() != parent:
+            if die:
+                os._exit(3)
+            raise ValueError("boom")
+        return x, mask
+
+    monkeypatch.setattr(nn, "pad_batch", pad_batch)
+
+
+def _log_lines(log) -> list[list[int]]:
+    lines = [[int(v) for v in line.split()]
+             for line in log.read_text().splitlines()]
+    log.unlink()
+    return lines
+
+
+class TestDfnPool:
+    """A ``dfn_fuse`` call of several batches runs them on the fork pool;
+    its rows must not depend on the pool, and a failing batch must end in
+    an error that names it, never a hang."""
+
+    @pytest.mark.parametrize("variant", ["lstm", "blstm"])
+    def test_rows_bit_identical_on_any_pool(self, variant, monkeypatch,
+                                            tmp_path):
+        posts, rels, model = _three_batches(variant)
+        log = tmp_path / "batches"
+        _logged_batches(monkeypatch, log)
+        fused = {}
+        for pool, n, can_fork in (("2", 2, True), ("1", 1, True),
+                                  ("none", 2, False)):
+            cpus(monkeypatch, n)
+            monkeypatch.setattr(forkpool, "_CAN_FORK",
+                                can_fork and forkpool._CAN_FORK)
+            fused[pool] = dfn_fuse(posts, rels, model)
+            batches = _log_lines(log)
+            assert sorted(width for _, width, _ in batches) == \
+                [100, 200, 300], pool
+            pids = {pid for pid, _, _ in batches}
+            if forkpool._CAN_FORK:
+                assert os.getpid() not in pids and len(pids) <= n, pool
+            else:
+                assert pids == {os.getpid()}, pool
+        assert fused["2"].shape == (3 * 300 + 5 * 200 + 10 * 100, 4)
+        assert fused["2"].tobytes() == fused["1"].tobytes() == \
+            fused["none"].tobytes()
+
+    def test_one_batch_runs_here(self, monkeypatch, tmp_path):
+        posts, rels, model = _three_batches("lstm")
+        log = tmp_path / "batches"
+        _logged_batches(monkeypatch, log)
+        cpus(monkeypatch, 2)
+        dfn_fuse(posts[:3], rels[:3], model)
+        assert [pid for pid, _, _ in _log_lines(log)] == [os.getpid()]
+
+    @needs_fork
+    @needs_openblas
+    def test_blas_pinned_inside_workers_of_an_unpinned_caller(
+            self, monkeypatch, tmp_path):
+        posts, rels, model = _three_batches("blstm")
+        log = tmp_path / "batches"
+        _logged_batches(monkeypatch, log)
+        cpus(monkeypatch, 2)
+        with outer_blas_threads(2):
+            dfn_fuse(posts, rels, model)
+            assert blas_threads() == 2
+        batches = _log_lines(log)
+        assert {pid for pid, _, _ in batches} & {os.getpid()} == set()
+        assert [threads for _, _, threads in batches] == [1, 1, 1]
+
+    @needs_fork
+    @pytest.mark.parametrize("die", [False, True], ids=["raises", "dies"])
+    @pytest.mark.parametrize("variant", ["lstm", "blstm"])
+    def test_failing_batch_names_variant_and_batch(self, variant, die,
+                                                   monkeypatch, tmp_path):
+        posts, rels, model = _three_batches(variant)
+        _logged_batches(monkeypatch, tmp_path / "batches", fail_width=200,
+                        die=die)
+        cpus(monkeypatch, 2)
+        message = (rf"worker died while .*running dfn-{variant} batch 2 of 3"
+                   if die else rf"dfn-{variant} inference of batch 2 of 3 "
+                   r"failed: ValueError: boom")
+        with deadline(60), pytest.raises(fusion.InferenceError,
+                                         match=message) as caught:
+            dfn_fuse(posts, rels, model)
+        assert not isinstance(caught.value, TrainingError)
+        assert multiprocessing.active_children() == []
+        assert forkpool._WORKER_JOB is None

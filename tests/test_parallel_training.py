@@ -5,24 +5,30 @@ thread count or whether the platform can fork; a failing or dying worker,
 or a failure of the parent's own work, must end in a named error, never a
 hang; and the parent must not keep the job its workers inherit."""
 
-import contextlib
 import hashlib
 import json
 import multiprocessing
 import os
-import signal
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from avfusion import blas, experiment
+from avfusion import blas, experiment, forkpool
 from avfusion.blas import single_blas_thread
 from avfusion.cli import main
 from avfusion.config import validate_config
 from avfusion.corpus import WorldConfig, build_world
 from avfusion.decode import build_decoding_graph
+from helpers import (
+    blas_threads as _blas_threads,
+    cpus as _cpus,
+    deadline as _deadline,
+    needs_fork,
+    needs_openblas,
+    outer_blas_threads as _outer_blas_threads,
+)
 
 TWO_DFN = {
     "world": {"vocab_size": 3, "states_per_word": 2,
@@ -40,53 +46,6 @@ TWO_DFN = {
             "dropout": 0.1},
     "out_dir": "unused",
 }
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the platform cannot fork; training runs in this process")
-needs_openblas = pytest.mark.skipif(
-    blas._openblas() is None, reason="numpy's bundled OpenBLAS not found")
-
-
-def _blas_threads() -> int:
-    return blas._openblas()[0]()
-
-
-def _cpus(monkeypatch, n: int) -> None:
-    """Pretend ``n`` usable CPUs: the fork pools get at most ``n``
-    workers."""
-    monkeypatch.setattr(experiment, "usable_cpus", lambda: n)
-
-
-@contextlib.contextmanager
-def _outer_blas_threads(n: int):
-    """Set OpenBLAS's thread count outside the pin (no-op without it)."""
-    funcs = blas._openblas()
-    if funcs is None:
-        yield
-        return
-    get, set_ = funcs
-    before = get()
-    set_(n)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
-@contextlib.contextmanager
-def _deadline(seconds: int):
-    """Fail instead of hanging if the body outlives ``seconds``."""
-    def expire(*_):
-        raise TimeoutError(f"still waiting after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
 
 @pytest.fixture(scope="module")
 def setup():
@@ -112,7 +71,7 @@ def _train(setup, parent_work=None):
 def test_pool_and_serial_training_bit_identical(setup, monkeypatch):
     _cpus(monkeypatch, 2)
     pooled, pooled_ce = _train(setup)
-    monkeypatch.setattr(experiment, "_CAN_FORK", False)
+    monkeypatch.setattr(forkpool, "_CAN_FORK", False)
     serial, serial_ce = _train(setup)
     assert list(pooled) == list(serial) == ["dfn-lstm", "dfn-blstm"]
     assert pooled_ce == serial_ce
@@ -204,7 +163,7 @@ def test_worker_exception_names_strategy_and_seed(setup, monkeypatch):
     with pytest.raises(experiment.TrainingError,
                        match=r"dfn-blstm for seed 0 failed: ValueError: boom"):
         _train(setup)
-    assert experiment._WORKER_JOB is None
+    assert forkpool._WORKER_JOB is None
 
 
 @needs_fork
@@ -212,10 +171,11 @@ def test_dead_worker_raises_instead_of_hanging(setup, monkeypatch):
     monkeypatch.setattr(experiment, "train_dfn",
                         _failing_blstm(os.getpid(), die=True))
     _cpus(monkeypatch, 2)
-    with _deadline(120), pytest.raises(experiment.TrainingError,
-                                       match=r"worker died.*seed 0"):
+    with _deadline(120), pytest.raises(
+            experiment.TrainingError,
+            match=r"worker died while .*training dfn-blstm for seed 0"):
         _train(setup)
-    assert experiment._WORKER_JOB is None
+    assert forkpool._WORKER_JOB is None
 
 
 @needs_fork
@@ -235,7 +195,7 @@ def test_failure_stops_other_workers_at_once(setup, monkeypatch):
         _train(setup)
     assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
-    assert experiment._WORKER_JOB is None
+    assert forkpool._WORKER_JOB is None
 
 
 @needs_fork
@@ -335,7 +295,7 @@ def test_parent_work_failure_stops_workers_at_once(setup, monkeypatch):
         _train(setup, parent_work)
     assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
-    assert experiment._WORKER_JOB is None
+    assert forkpool._WORKER_JOB is None
 
 
 @needs_fork
@@ -354,7 +314,7 @@ def test_worker_failure_during_parent_work_is_raised_after_it(
 
     def parent_work():
         time.sleep(2)
-        finished.append(experiment._WORKER_JOB is None)
+        finished.append(forkpool._WORKER_JOB is None)
 
     monkeypatch.setattr(experiment, "train_dfn", train_dfn)
     _cpus(monkeypatch, 2)
@@ -365,4 +325,4 @@ def test_worker_failure_during_parent_work_is_raised_after_it(
         _train(setup, parent_work)
     assert finished == [True]
     assert multiprocessing.active_children() == []
-    assert experiment._WORKER_JOB is None
+    assert forkpool._WORKER_JOB is None
