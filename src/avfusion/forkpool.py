@@ -6,15 +6,44 @@ The workers inherit the calls' shared input (the job) by fork instead of
 receiving it pickled; only each call's arguments and result cross a
 process boundary. Where the platform cannot fork, the calls run in turn in
 this process. A failing call stops the other workers at once, and a worker
-that dies is reported by the tasks it left unfinished.
+that dies is reported by the tasks it left unfinished. Importing the
+module puts every thread on glibc's main malloc arena, which keeps the
+process's peak memory from varying with the pool's threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+
+_M_ARENA_MAX = -8  # glibc's mallopt parameter
+
+
+def _one_malloc_arena() -> None:
+    """Serve every thread of this process from glibc's main malloc arena.
+
+    A pool's results are unpickled by its manager thread. Under glibc each
+    new thread takes a malloc arena of its own, reusing one that an ended
+    thread left, and which thread of a pool takes which arena is a race.
+    Freed results then stay resident in whichever arena held them, so the
+    peak memory of the same sweep varied by up to 15 MB (of 90) from one
+    run to the next. The pool's threads allocate little and under the GIL,
+    so one arena costs no contention. A libc without ``mallopt`` is left
+    alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int,
+                                                       ctypes.c_int]
+    mallopt(_M_ARENA_MAX, 1)
+
+
+_one_malloc_arena()
 
 
 def usable_cpus() -> int:
